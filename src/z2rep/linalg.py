@@ -27,7 +27,7 @@ def _scaled_int_rows(rows: list[list[Fraction]]) -> list[list[int]]:
     return out
 
 
-def _echelon(rows_int: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+def echelon(rows_int: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     """Integer row echelon form; returns (nonzero rows, pivot columns).
 
     Pivot choice: smallest nonzero |entry| in the column, first row on ties.
@@ -69,7 +69,7 @@ def rank(rows) -> int:
     fr = _fracs(rows)
     if not fr:
         return 0
-    return len(_echelon(_scaled_int_rows(fr))[1])
+    return len(echelon(_scaled_int_rows(fr))[1])
 
 
 def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
@@ -77,7 +77,12 @@ def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
     fr = _fracs(rows)
     if not fr:
         return [], []
-    ech, pivots = _echelon(_scaled_int_rows(fr))
+    ech, pivots = echelon(_scaled_int_rows(fr))
+    return echelon_to_rref(ech, pivots), pivots
+
+
+def echelon_to_rref(ech: list[list[int]], pivots: list[int]) -> list[list[Fraction]]:
+    """The reduced row echelon form of the span of integer echelon rows."""
     out = [[Fraction(x) for x in r] for r in ech]
     for i in range(len(pivots) - 1, -1, -1):
         pc = pivots[i]
@@ -87,7 +92,20 @@ def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
             f = out[j][pc]
             if f:
                 out[j] = [a - f * b for a, b in zip(out[j], out[i])]
-    return out, pivots
+    return out
+
+
+def reduce_mod_echelon(ech: list[list[int]], pivots: list[int], vec: list[int]) -> list[int]:
+    """A nonzero integer multiple of the remainder of vec modulo the span of
+    integer echelon rows: zero on every pivot column."""
+    v = list(vec)
+    for row, pc in zip(ech, pivots):
+        f = v[pc]
+        if f:
+            g = gcd(row[pc], f)
+            a, b = row[pc] // g, f // g
+            v = [a * x - b * y for x, y in zip(v, row)]
+    return v
 
 
 def reduce_mod_span(rr_rows: list[list[Fraction]], pivots: list[int], vec) -> list[Fraction]:

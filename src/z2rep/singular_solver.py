@@ -23,10 +23,10 @@ from fractions import Fraction
 from math import comb
 
 from . import linalg
-from .graded_algebra import Degree, degree_add
+from .graded_algebra import DEGREE, Degree, degree_add
 from .rationals import format_rational
-from .verma import (Ket, VermaModule, Vector, act, enumerate_level,
-                    sector_kets, vector_to_json, zero_vector)
+from .verma import (Ket, VermaModule, Vector, act, action_rows, sector_kets,
+                    vector_to_json, zero_vector)
 
 ODD_SECTORS: tuple[Degree, ...] = ((0, 1), (1, 0))
 EVEN_SECTORS: tuple[Degree, ...] = ((0, 0), (1, 1))
@@ -148,19 +148,38 @@ class SingularReport:
         return out
 
 
-def _lowering_matrix(module: VermaModule, kets: list[Ket], level: int):
-    """Stacked exact matrix of (am, atm) from the given kets into level-1."""
-    targets = enumerate_level(module, level - 1).kets
-    index = {ket: i for i, ket in enumerate(targets)}
-    nrows = 2 * len(targets)
-    rows = [[Fraction(0)] * len(kets) for _ in range(nrows)]
-    for col, ket in enumerate(kets):
-        src = Vector(module, {ket: Fraction(1)})
-        for block, gen in enumerate(("am", "atm")):
-            img = act(gen, src)
-            for tket, c in img.terms.items():
-                rows[block * len(targets) + index[tket]][col] = c
-    return rows
+def lowering_map(module: VermaModule, level: int, sector: Degree, kets: list[Ket],
+                 modulo: dict[Degree, tuple[list[list[int]], list[int]]] | None = None,
+                 ) -> list[list[int]]:
+    """Stacked images of the lowering pair (am, atm), one integer row per ket.
+
+    The kets lie in `sector` of `level`.  am and atm each map that sector into
+    one sector of level-1; a row holds the am image over the kets of its
+    target sector, then the atm image over the kets of its own.  Entries are
+    multiplied by den(r) * den(lambda), which makes them integers.
+
+    With `modulo`, the integer echelon rows and pivots of a subspace of
+    level-1 per sector, each image is reduced modulo that subspace and only
+    its coordinates off the pivots are kept.
+    """
+    scale = module.r.denominator * (module.lam.denominator if module.lam is not None else 1)
+    blocks = []
+    for gen in ("am", "atm"):
+        target = degree_add(sector, DEGREE[gen])
+        targets = sector_kets(module, level - 1, target)
+        block = []
+        for image in action_rows(module, gen, kets, targets, scale):
+            v = [0] * len(targets)
+            for t, c in image:
+                v[t] = c
+            block.append(v)
+        if modulo is not None:
+            ech, pivots = modulo.get(target, ([], []))
+            keep = [j for j in range(len(targets)) if j not in pivots]
+            block = [[red[j] for j in keep]
+                     for red in (linalg.reduce_mod_echelon(ech, pivots, v) for v in block)]
+        blocks.append(block)
+    return [a + b for a, b in zip(*blocks)]
 
 
 def find_singular(module: VermaModule, level: int, sector: Degree) -> SingularReport:
@@ -172,8 +191,8 @@ def find_singular(module: VermaModule, level: int, sector: Degree) -> SingularRe
     kets = sector_kets(module, level, sector)
     vectors: list[Vector] = []
     if kets:
-        rows = _lowering_matrix(module, kets, level)
-        for coords in linalg.nullspace(rows, len(kets)):
+        images = lowering_map(module, level, sector, kets)
+        for coords in linalg.nullspace([list(col) for col in zip(*images)], len(kets)):
             vectors.append(Vector(module, dict(zip(kets, coords))))
     predicted = applicable_closed_form(module, level, sector)
     if predicted is None:

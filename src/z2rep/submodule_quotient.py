@@ -3,8 +3,9 @@
 W is generated from the two singular vectors chi01, chi10 at level 2M+1 by
 the raising generators.  Its level-(2M+1+q) slice has the explicit spanning
 family built from words in ap and atp applied to the two singular vectors;
-independently, the same slice is computed as a bare span (breadth-first over
-levels, reducing by exact rank), which never assumes the dimension formula.
+independently, the same slice is computed as a bare span (level by level,
+one Z2xZ2 sector at a time, reducing integer rows by exact rank), which never
+assumes the dimension formula.
 
 For the one-dimensional family the quotient truncates: dim W saturates the
 whole weight space beyond offset q = 2M, which is where the per-level
@@ -17,13 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt, lcm
 
 from . import linalg
+from .graded_algebra import DEGREE, Degree, degree_add
 from .rationals import format_rational
-from .singular_solver import closed_form
-from .verma import (Ket, VermaModule, Vector, act, act_word, enumerate_level,
-                    vector_to_json)
+from .singular_solver import closed_form, lowering_map, sectors_for_level
+from .verma import (Ket, VermaModule, Vector, act_word, action_rows,
+                    enumerate_level, sector_kets, vector_to_json)
 
 
 class ConsistencyError(RuntimeError):
@@ -34,16 +36,29 @@ def singular_pair(module: VermaModule, M: int) -> tuple[Vector, Vector]:
     return closed_form(module, "chi01", M), closed_form(module, "chi10", M)
 
 
-def detect_singular_orders(module: VermaModule, cap: int = 32) -> list[int]:
-    """All M <= cap whose existence constraint is met by the module parameters."""
+def detect_singular_orders(module: VermaModule) -> list[int]:
+    """Every M >= 0 whose existence constraint the module parameters meet, ascending.
+
+    Solved in closed form: r + 2M = 0 gives M = -r/2 for Mr, and
+    (r + 2M)^2 = lambda gives M = (+-sqrt(lambda) - r)/2 for MrLambda, where
+    the square root is rational only when the numerator and the denominator
+    of lambda are both perfect squares.
+    """
+    if module.kind == "Mr":
+        roots = [Fraction(0)]
+    else:
+        lam = module.lam
+        if lam < 0:
+            return []
+        num, den = isqrt(lam.numerator), isqrt(lam.denominator)
+        if num * num != lam.numerator or den * den != lam.denominator:
+            return []
+        roots = [Fraction(-num, den), Fraction(num, den)]
     out = []
-    for M in range(cap + 1):
-        if module.kind == "Mr":
-            if module.r + 2 * M == 0:
-                out.append(M)
-        else:
-            if (module.r + 2 * M) ** 2 == module.lam:
-                out.append(M)
+    for root in roots:
+        two_m = root - module.r
+        if two_m >= 0 and two_m.denominator == 1 and two_m.numerator % 2 == 0:
+            out.append(two_m.numerator // 2)
     return out
 
 
@@ -105,41 +120,99 @@ def submodule_basis(module: VermaModule, M: int, q: int) -> SubmoduleLevel:
     return SubmoduleLevel(module, M, q, vectors)
 
 
-def submodule_span_dims(module: VermaModule, max_level: int,
-                        orders: list[int] | None = None) -> dict[int, tuple]:
-    """Exact per-level bases of W = (raising words applied to all singular pairs).
+Piece = tuple[list[list[int]], list[int]]  # integer echelon rows, pivot columns
 
-    Breadth-first over levels: each level is spanned by ap/atp images of the
-    previous level, Lp/Ltp images of the one below, and any singular vectors
-    seeded at the level itself.  Returns {level: (rref_rows, pivots, kets)}.
+
+@dataclass
+class Submodule:
+    """W level by level and sector by sector.
+
+    pieces[n][sector] holds integer echelon rows spanning the part of W in
+    that Z2xZ2 sector of level n, in the coordinates of
+    sector_kets(module, n, sector), with their pivot columns.  Levels below
+    the lowest singular level are absent: W is zero there.
+    """
+    module: VermaModule
+    pieces: dict[int, dict[Degree, Piece]]
+
+    def dim(self, n: int) -> int:
+        return sum(len(rows) for rows, _ in self.pieces.get(n, {}).values())
+
+
+def _integer_coords(vec: Vector, kets: list[Ket]) -> list[int]:
+    """Coordinates of vec scaled by the lcm of their denominators."""
+    den = lcm(*(c.denominator for c in vec.terms.values()))
+    return [int(c * den) for c in vec.coords(kets)]
+
+
+def build_submodule(module: VermaModule, max_level: int,
+                    orders: list[int] | None = None) -> Submodule:
+    """W = raising words applied to all singular pairs, up to max_level.
+
+    Each level is spanned by the ap and atp images of the level below and by
+    the singular vectors seeded at the level itself.  Lp and Ltp images add
+    nothing: Lp = -atp^2/2 and Ltp = -[ap, atp]/4 act through two steps of
+    ap and atp, whose images of W already lie in W.  The seeds and the
+    raising generators are homogeneous, so each Z2xZ2 sector is eliminated on
+    its own.  ap and atp have integer coefficients, independent of r and
+    lambda, so once each seed's denominators are cleared every row stays an
+    integer vector.
     """
     if orders is None:
         orders = detect_singular_orders(module)
     seeds: dict[int, list[Vector]] = {}
     for M in orders:
         if 2 * M + 1 <= max_level:
-            chi01, chi10 = singular_pair(module, M)
-            seeds.setdefault(2 * M + 1, []).extend([chi01, chi10])
+            seeds.setdefault(2 * M + 1, []).extend(singular_pair(module, M))
+    pieces: dict[int, dict[Degree, Piece]] = {}
+    kets_below: dict[Degree, list[Ket]] = {}
+    for n in range(min(seeds, default=max_level + 1), max_level + 1):
+        space = enumerate_level(module, n)
+        level = pieces[n] = {}
+        kets_here = {}
+        for sector in sectors_for_level(n):
+            kets = kets_here[sector] = space.sector(sector)
+            rows = [_integer_coords(v, kets) for v in seeds.get(n, ())
+                    if v.degree() == sector]
+            for gen in ("ap", "atp"):
+                source = degree_add(sector, DEGREE[gen])
+                below = pieces.get(n - 1, {}).get(source, ([], []))[0]
+                if not below:
+                    continue
+                images = action_rows(module, gen, kets_below[source], kets)
+                for row in below:
+                    out = [0] * len(kets)
+                    for c, image in zip(row, images):
+                        if c:
+                            for t, a in image:
+                                out[t] += c * a
+                    rows.append(out)
+            level[sector] = linalg.echelon(rows)
+        kets_below = kets_here
+    return Submodule(module, pieces)
+
+
+def submodule_span_dims(module: VermaModule, max_level: int,
+                        orders: list[int] | None = None) -> dict[int, tuple]:
+    """Exact per-level bases of W: {level: (rref_rows, pivots, kets)}.
+
+    The reduced row echelon form over the whole level, in Fractions, is the
+    sector pieces of `build_submodule` reduced and merged by pivot.
+    """
     out: dict[int, tuple] = {}
-    if not seeds:
-        return out
-    start = min(seeds)
-    prev: list[Vector] = []
-    prev2: list[Vector] = []
-    for n in range(start, max_level + 1):
-        cands = list(seeds.get(n, []))
-        for v in prev:
-            cands.append(act("ap", v))
-            cands.append(act("atp", v))
-        for v in prev2:
-            cands.append(act("Lp", v))
-            cands.append(act("Ltp", v))
+    for n, level in build_submodule(module, max_level, orders).pieces.items():
         kets = list(enumerate_level(module, n).kets)
-        rows = [v.coords(kets) for v in cands if not v.is_zero()]
-        rr, pivots = linalg.rref(rows)
-        out[n] = (rr, pivots, kets)
-        basis_vecs = [Vector(module, dict(zip(kets, row))) for row in rr]
-        prev, prev2 = basis_vecs, prev
+        column = {ket: i for i, ket in enumerate(kets)}
+        merged = []
+        for sector, (rows, pivots) in level.items():
+            place = [column[ket] for ket in sector_kets(module, n, sector)]
+            for row, pc in zip(linalg.echelon_to_rref(rows, pivots), pivots):
+                full = [Fraction(0)] * len(kets)
+                for j, x in zip(place, row):
+                    full[j] = x
+                merged.append((place[pc], full))
+        merged.sort(key=lambda item: item[0])
+        out[n] = ([row for _, row in merged], [pc for pc, _ in merged], kets)
     return out
 
 
@@ -218,6 +291,16 @@ def chi11_membership(M: int) -> MembershipReport:
     return MembershipReport(M, coeffs, matrix, determinant, residual_zero)
 
 
+def _dims_table(module: VermaModule, max_level: int, wdim: dict[int, int]) -> list[dict]:
+    rows = []
+    for n in range(max_level + 1):
+        total = verma_dim(module, n)
+        w = wdim.get(n, 0)
+        rows.append({"level": n, "verma_dim": total, "submodule_dim": w,
+                     "quotient_dim": total - w})
+    return rows
+
+
 def quotient_dims(module: VermaModule, max_level: int,
                   exact: bool = True) -> list[dict]:
     """Per-level table of weight-space, submodule and quotient dimensions.
@@ -227,10 +310,9 @@ def quotient_dims(module: VermaModule, max_level: int,
     level (only meaningful when a single M satisfies the constraint).
     """
     orders = detect_singular_orders(module)
-    rows = []
     if exact:
-        spans = submodule_span_dims(module, max_level, orders)
-        wdim = {n: len(spans[n][0]) for n in spans}
+        w = build_submodule(module, max_level, orders)
+        wdim = {n: w.dim(n) for n in w.pieces}
     else:
         wdim = {}
         if orders:
@@ -238,12 +320,7 @@ def quotient_dims(module: VermaModule, max_level: int,
             for n in range(2 * M + 1, max_level + 1):
                 q = n - (2 * M + 1)
                 wdim[n] = min(2 * (q + 1), verma_dim(module, n))
-    for n in range(max_level + 1):
-        total = verma_dim(module, n)
-        w = wdim.get(n, 0)
-        rows.append({"level": n, "verma_dim": total, "submodule_dim": w,
-                     "quotient_dim": total - w})
-    return rows
+    return _dims_table(module, max_level, wdim)
 
 
 @dataclass
@@ -267,34 +344,28 @@ class ClassificationVerdict:
         return out
 
 
-def _quotient_has_no_singular(module: VermaModule, spans: dict[int, tuple],
-                              n: int) -> bool:
-    """Kernel of the lowering pair on the level-n quotient is zero."""
-    kets = list(enumerate_level(module, n).kets)
-    cur = spans.get(n)
-    pivots_n = cur[1] if cur else []
-    rr_n = cur[0] if cur else []
-    comp = [i for i in range(len(kets)) if i not in pivots_n]
-    if not comp:
-        return True  # quotient level already empty
-    below = list(enumerate_level(module, n - 1).kets)
-    prev = spans.get(n - 1)
-    rr_b = prev[0] if prev else []
-    pivots_b = prev[1] if prev else []
-    comp_b = [i for i in range(len(below)) if i not in pivots_b]
-    rows = [[Fraction(0)] * len(comp) for _ in range(2 * len(comp_b))]
-    for col, i in enumerate(comp):
-        vec = Vector(module, {kets[i]: Fraction(1)})
-        for block, gen in enumerate(("am", "atm")):
-            red = linalg.reduce_mod_span(rr_b, pivots_b,
-                                         act(gen, vec).coords(below))
-            for rowpos, j in enumerate(comp_b):
-                rows[block * len(comp_b) + rowpos][col] = red[j]
-    return not linalg.nullspace(rows, len(comp))
+def _quotient_has_no_singular(w: Submodule, n: int) -> bool:
+    """Kernel of the lowering pair on the level-n quotient V_n / W_n is zero.
+
+    Checked sector by sector, over integers: the kets off W's pivots span a
+    complement of W in each sector, and their am and atm images modulo W at
+    level n-1 must be linearly independent.
+    """
+    module = w.module
+    for sector in sectors_for_level(n):
+        _, pivots = w.pieces.get(n, {}).get(sector, ([], []))
+        free = [ket for j, ket in enumerate(sector_kets(module, n, sector))
+                if j not in pivots]
+        if not free:
+            continue
+        images = lowering_map(module, n, sector, free, modulo=w.pieces.get(n - 1, {}))
+        if len(linalg.echelon(images)[1]) < len(free):
+            return False
+    return True
 
 
-def classify_module(module: VermaModule, max_level: int | None = None,
-                    detect_cap: int = 32) -> ClassificationVerdict:
+def classify_module(module: VermaModule,
+                    max_level: int | None = None) -> ClassificationVerdict:
     """Classification verdict for the irreducible lowest-weight quotient.
 
     Cases: (i) the one-parameter Verma module is already irreducible,
@@ -303,7 +374,7 @@ def classify_module(module: VermaModule, max_level: int | None = None,
     of constant per-level dimension.  "Infinite" means the per-level table is
     verified non-terminating up to the level cap.
     """
-    orders = detect_singular_orders(module, detect_cap)
+    orders = detect_singular_orders(module)
     if module.kind == "Mr":
         case = "ii" if orders else "i"
     else:
@@ -316,13 +387,14 @@ def classify_module(module: VermaModule, max_level: int | None = None,
             max_level = 2 * M + 1 + 8
         else:
             max_level = 16
-    per_level = quotient_dims(module, max_level, exact=True)
+    if case == "ii":
+        support = 4 * M + 1
+        max_level = max(max_level, support + 1)
+    w = build_submodule(module, max_level, orders)
+    per_level = _dims_table(module, max_level, {n: w.dim(n) for n in w.pieces})
     dimension = None
     checked = False
     if case == "ii":
-        support = 4 * M + 1
-        if max_level < support + 1:
-            per_level = quotient_dims(module, support + 1, exact=True)
         total = sum(row["quotient_dim"] for row in per_level)
         if total != (2 * M + 1) ** 2:
             raise ConsistencyError(
@@ -330,10 +402,7 @@ def classify_module(module: VermaModule, max_level: int | None = None,
         if any(row["quotient_dim"] for row in per_level if row["level"] > support):
             raise ConsistencyError("quotient persists beyond its support")
         dimension = (2 * M + 1) ** 2
-        spans = submodule_span_dims(module, max(row["level"] for row in per_level),
-                                    orders)
-        checked = all(_quotient_has_no_singular(module, spans, n)
-                      for n in range(1, support + 1))
+        checked = all(_quotient_has_no_singular(w, n) for n in range(1, support + 1))
         if not checked:
             raise ConsistencyError("quotient contains an unexpected singular vector")
     elif case == "iv":
@@ -344,7 +413,5 @@ def classify_module(module: VermaModule, max_level: int | None = None,
         if len(quots) >= 2 and quots[-1] == quots[-2] == 0:
             dimension = sum(quots)
             top = max(row["level"] for row in per_level if row["quotient_dim"])
-            spans = submodule_span_dims(module, top + 1, orders)
-            checked = all(_quotient_has_no_singular(module, spans, n)
-                          for n in range(1, top + 2))
+            checked = all(_quotient_has_no_singular(w, n) for n in range(1, top + 2))
     return ClassificationVerdict(module, case, M, dimension, per_level, checked)

@@ -260,6 +260,27 @@ def act(gen: str, vec: Vector) -> Vector:
     return Vector(mod, out)
 
 
+def action_rows(module: VermaModule, gen: str, kets: list[Ket], targets: list[Ket],
+                scale: int = 1) -> list[list[tuple[int, int]]]:
+    """One generator as a sparse integer matrix: for each ket, the pairs
+    (index into targets, scale * coefficient) of its image.
+
+    The image of every ket must lie in the span of `targets`, and `scale`
+    must clear every denominator of the coefficients.
+    """
+    index = {ket: i for i, ket in enumerate(targets)}
+    out = []
+    for ket in kets:
+        row = []
+        for tket, c in _ket_action(module.kind, module.r, module.lam, gen, ket):
+            c *= scale
+            if c.denominator != 1:
+                raise ValueError(f"scale {scale} leaves {gen} coefficient {c}")
+            row.append((index[tket], c.numerator))
+        out.append(row)
+    return out
+
+
 def act_word(word: tuple[str, ...], vec: Vector) -> Vector:
     """Apply a product of generators, rightmost factor first."""
     for gen in reversed(word):

@@ -208,3 +208,11 @@ def test_env_config_bad_file(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("Z2REP_CONFIG", str(cfg))
     code, _, err = run_cli(capsys, "verify-algebra")
     assert code == 2
+
+
+def test_classify_order_above_32(capsys):
+    # M = 33: the singular order lies beyond any fixed scan range
+    code, out, _ = run_cli(capsys, "classify", "--kind", "mr", "--r", "-66")
+    assert code == 0
+    data = json.loads(out)
+    assert data["case"] == "ii" and data["M"] == 33 and data["dimension"] == 4489

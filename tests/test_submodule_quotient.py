@@ -224,3 +224,24 @@ def test_chi11_inside_submodule_span():
         chi11 = closed_form(mod, "chi11", M)
         red = linalg.reduce_mod_span(rr, pivots, chi11.coords(kets))
         assert not any(red)
+
+
+def test_detect_singular_orders_beyond_old_scan():
+    # the orders are solved in closed form, not scanned up to a cap
+    assert detect_singular_orders(mr(-66)) == [33]
+    assert detect_singular_orders(mrl(-70, 4)) == [34, 36]
+    assert detect_singular_orders(mrl(Fraction(-7, 2), Fraction(9, 4))) == [1]
+    assert detect_singular_orders(mrl(0, -4)) == []
+    assert detect_singular_orders(mrl(0, 8)) == []  # not a rational square
+    assert detect_singular_orders(mr(-3)) == []
+
+
+def test_detect_singular_orders_matches_a_scan():
+    for num in range(-90, 12):
+        for den in (1, 2):
+            r = Fraction(num, den)
+            scan = [M for M in range(60) if r + 2 * M == 0]
+            assert detect_singular_orders(mr(r)) == scan
+            for lam in (Fraction(1), Fraction(4), Fraction(9, 4), Fraction(49), Fraction(2)):
+                scan = [M for M in range(60) if (r + 2 * M) ** 2 == lam]
+                assert detect_singular_orders(mrl(r, lam)) == scan
