@@ -39,6 +39,24 @@ CASES = {
     # case ii with a level cap below the support of the quotient
     "classify_mr_M2_max3": ("classify", "--kind", "mr", "--r=-4", "--max-level", "3"),
     "dims_mr_r-16_max40": ("dims", "--kind", "mr", "--r=-16", "--max-level", "40"),
+    # singular vectors, with the Rt coefficients on the singular pair and chi11
+    "singular_mr_r-2_sweep12": ("singular", "--kind", "mr", "--r=-2", "--sweep",
+                                "--level-cap", "12"),
+    "singular_mr_r-4_level10": ("singular", "--kind", "mr", "--r=-4", "--level", "10"),
+    "singular_mrl_r1_3_M1_sweep8": ("singular", "--kind", "mrl", "--r=1/3",
+                                    "--lambda=49/9", "--sweep", "--level-cap", "8"),
+    "singular_mrl_r-5_l9_sweep8": ("singular", "--kind", "mrl", "--r=-5", "--lambda=9",
+                                   "--sweep", "--level-cap", "8"),
+    # the invariant-subspace search on chain modules
+    "cartan_n12_r0": ("cartan", "--n", "12", "--r", "0", "--c", "1,0,2,0,3,0"),
+    "cartan_n4_c0_1": ("cartan", "--n", "4", "--r", "0", "--c", "0,1"),
+    "cartan_n4_c0_0": ("cartan", "--n", "4", "--r", "0", "--c", "0,0"),
+    "cartan_n4_c2_0": ("cartan", "--n", "4", "--r", "0", "--c", "2,0"),
+    "cartan_n6_r2": ("cartan", "--n", "6", "--r", "2", "--c", "6,-11,6"),
+    "cartan_n6_r1_3": ("cartan", "--n", "6", "--r", "1/3", "--c", "0,-2,1"),
+    "cartan_n7_r1_2": ("cartan", "--n", "7", "--r", "1/2", "--c", "1,2,3"),
+    "verify_algebra": ("verify-algebra",),
+    "bracket_table": ("bracket-table",),
 }
 
 
