@@ -186,67 +186,71 @@ def _parity_restricted(g: _GradedMod, mat: Matrix, p: int):
     return idx, sub
 
 
-def _find_invariant_graded(g: _GradedMod) -> list[list[Fraction]] | None:
-    """Generic exact search used on sub/quotient pieces."""
-    n = g.dim
-    if n <= 1:
-        return None
-    eye = [[Fraction(i == j) for j in range(n)] for i in range(n)]
-    # cyclic subspaces generated from each basis vector
-    for seed in eye:
-        span = _cyclic_span(g, seed)
-        found = _proper(g, span)
+def _cyclic_piece(g: _GradedMod) -> list[list[Fraction]] | None:
+    """A proper invariant span generated by one basis vector."""
+    for i in range(g.dim):
+        seed = [Fraction(i == j) for j in range(g.dim)]
+        found = _proper(g, _cyclic_span(g, seed))
         if found is not None and _is_invariant(g, found):
             return found
-    # one-dimensional pieces inside the kernel of Rt, split by parity
-    for v in linalg.nullspace([list(row) for row in g.mat], n):
+    return None
+
+
+def _kernel_piece(g: _GradedMod) -> list[list[Fraction]] | None:
+    """A one-dimensional piece of the kernel of Rt, split by parity."""
+    for v in linalg.nullspace([list(row) for row in g.mat], g.dim):
         for part in _split_parity(g, v):
             found = _proper(g, [part])
             if found is not None:
                 return found
-    # rational eigenvalues t of Rt^2 on a parity block give spans {w, Rt w}
-    sq = _mat_mul(g.mat, g.mat)
-    for p in (0, 1):
-        idx, block = _parity_restricted(g, _freeze(sq), p)
+    return None
+
+
+def _eigen_pair(g: _GradedMod, parities) -> list[list[Fraction]] | None:
+    """A span {w, Rt w}, w an eigenvector of Rt^2 in one of the parity blocks.
+
+    Only rational eigenvalues t != 0 are tried: t = 0 has an eigenvector
+    exactly when Rt has a kernel, which `_kernel_piece` covers.
+    """
+    sq = _freeze(_mat_mul(g.mat, g.mat))
+    for p in parities:
+        idx, block = _parity_restricted(g, sq, p)
         if not idx:
             continue
         for t in linalg.rational_roots(linalg.char_poly(block)):
+            if t == 0:
+                continue
             shifted = [[block[i][j] - (t if i == j else 0) for j in range(len(idx))]
                        for i in range(len(idx))]
             for small in linalg.nullspace(shifted, len(idx)):
-                w = [Fraction(0)] * n
+                w = [Fraction(0)] * g.dim
                 for pos, val in zip(idx, small):
                     w[pos] = val
-                span = [w, _mat_vec(g.mat, w)]
-                found = _proper(g, span)
+                found = _proper(g, [w, _mat_vec(g.mat, w)])
                 if found is not None and _is_invariant(g, found):
                     return found
     return None
 
 
-def _chain_closing_vector(n: int, c, t: Fraction) -> list[Fraction]:
-    """Even-parity vector whose Rt-square closes with scalar t (chain case)."""
-    lam = {n - 2: Fraction(1)}
-    acc = Fraction(0)
-    power = Fraction(1)
-    for j in range((n - 2) // 2):
-        acc += Fraction(c[j]) * power
-        power *= t
-        lam[2 * j] = acc / t ** (j + 1)
-    vec = [Fraction(0)] * n
-    for pos, val in lam.items():
-        vec[pos] = val
-    return vec
+def _find_invariant_graded(g: _GradedMod) -> list[list[Fraction]] | None:
+    """Generic exact search used on sub/quotient pieces."""
+    if g.dim <= 1:
+        return None
+    return _cyclic_piece(g) or _kernel_piece(g) or _eigen_pair(g, (0, 1))
 
 
 def find_invariant_subspace(hm: HModule) -> list[list[Fraction]] | None:
     """Basis of a proper nonzero invariant subspace, or None.
 
-    Odd chains above dimension one always contain the tail span.  Even chains
-    go through the closing-scalar polynomial: a nonzero rational root t yields
-    a two-dimensional invariant pair {w, Rt w}; if only t = 0 remains, the
-    kernel of Rt supplies a one-dimensional piece.  None means no invariant
-    subspace exists over Q (the module may still split over an extension).
+    Odd chains above dimension one always contain the tail span.  On an even
+    chain each parity block of Rt^2 is a companion matrix of the closing-scalar
+    polynomial `t_polynomial`: a nonzero rational root t yields a
+    two-dimensional invariant pair {w, Rt w} with w in the even block; if only
+    t = 0 remains, the kernel of Rt supplies a one-dimensional piece.  Of the
+    generic search only the cyclic spans are then left to try: the odd block
+    has the same roots, and the kernel has just been searched.  None means no
+    invariant subspace exists over Q (the module may still split over an
+    extension).
     """
     g = _as_graded(hm)
     n = hm.n
@@ -256,21 +260,7 @@ def find_invariant_subspace(hm: HModule) -> list[list[Fraction]] | None:
         tail = [[Fraction(i == j) for j in range(n)] for i in range(1, n)]
         assert _is_invariant(g, tail)
         return linalg.rref(tail)[0]
-    roots = linalg.rational_roots(t_polynomial(n, hm.c))
-    for t in [x for x in roots if x != 0]:
-        w = _chain_closing_vector(n, hm.c, t)
-        span = [w, _mat_vec(g.mat, w)]
-        found = _proper(g, span)
-        if found is not None:
-            assert _is_invariant(g, found)
-            return found
-    if Fraction(0) in roots:
-        for v in linalg.nullspace([list(row) for row in g.mat], n):
-            for part in _split_parity(g, v):
-                found = _proper(g, [part])
-                if found is not None:
-                    return found
-    return _find_invariant_graded(g)
+    return _eigen_pair(g, (0,)) or _kernel_piece(g) or _cyclic_piece(g)
 
 
 def _coords_in(rr_rows, vec) -> list[Fraction]:

@@ -29,9 +29,6 @@ from .verma import VermaModule
 @dataclass
 class RunConfig:
     level_cap: int = 16
-    m_cap: int = 6
-    samples: int = 5
-    seed: int = 0
     output_format: str = "json"
     output_path: str | None = None
 
@@ -41,22 +38,21 @@ CONFIG_ENV = "Z2REP_CONFIG"
 
 def load_run_config(environ=None) -> RunConfig:
     environ = os.environ if environ is None else environ
-    cfg = RunConfig()
     path = environ.get(CONFIG_ENV)
     if not path:
-        return cfg
+        return RunConfig()
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    mapping = {"level_cap": "level_cap", "M_cap": "m_cap", "m_cap": "m_cap",
-               "samples": "samples", "seed": "seed",
-               "output_format": "output_format", "output_path": "output_path"}
-    for key, attr in mapping.items():
-        if key in data:
-            setattr(cfg, attr, data[key])
-    if cfg.level_cap <= 0 or cfg.m_cap <= 0 or cfg.samples <= 0:
-        raise ValueError("caps and sample counts must be positive")
+    if not isinstance(data, dict):
+        raise ValueError("the file must hold a JSON object")
+    cfg = RunConfig(**{key: data[key] for key in ("level_cap", "output_format",
+                                                  "output_path") if key in data})
+    if type(cfg.level_cap) is not int or cfg.level_cap <= 0:
+        raise ValueError(f"level_cap must be a positive integer, got {cfg.level_cap!r}")
     if cfg.output_format not in ("json", "csv"):
         raise ValueError(f"unknown output format {cfg.output_format!r}")
+    if "output_path" in data and not isinstance(cfg.output_path, str):
+        raise ValueError(f"output_path must be a string, got {cfg.output_path!r}")
     return cfg
 
 
@@ -114,8 +110,10 @@ def _csv_text(fieldnames: list[str], rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _vector_str(vec) -> str:
-    return repr(vec)
+def _module_fields(module: VermaModule) -> dict:
+    """The kind, r and lambda columns that lead every per-module CSV row."""
+    return {"kind": module.kind, "r": format_rational(module.r),
+            "lambda": format_rational(module.lam) if module.lam is not None else ""}
 
 
 def _emit(args, json_payload, csv_fieldnames, csv_rows) -> None:
@@ -163,15 +161,12 @@ def cmd_bracket_table(args) -> int:
 
 
 def _singular_row(report) -> dict:
-    mod = report.module
     return {
-        "kind": mod.kind,
-        "r": format_rational(mod.r),
-        "lambda": format_rational(mod.lam) if mod.lam is not None else "",
+        **_module_fields(report.module),
         "level": report.level,
         "sector": f"({report.sector[0]},{report.sector[1]})",
         "nullspace_dim": len(report.nullspace),
-        "vectors": " | ".join(_vector_str(v) for v in report.nullspace),
+        "vectors": " | ".join(map(repr, report.nullspace)),
         "closed_form_match": report.closed_form_match,
         "rtilde_computed": format_rational(report.rtilde_computed)
         if report.rtilde_computed is not None else "",
@@ -196,34 +191,15 @@ def cmd_singular(args) -> int:
     return 1 if failed else 0
 
 
-def _dims_rows(module, table) -> list[dict]:
-    rows = []
-    for row in table:
-        rows.append({
-            "kind": module.kind,
-            "r": format_rational(module.r),
-            "lambda": format_rational(module.lam) if module.lam is not None else "",
-            **row,
-        })
-    return rows
-
-
 def cmd_classify(args) -> int:
     module = _module_from_args(args)
     verdict = submodule_quotient.classify_module(module, max_level=args.max_level)
     payload = verdict.to_json()
-    rows = []
-    for row in verdict.per_level:
-        rows.append({
-            "kind": module.kind,
-            "r": format_rational(module.r),
-            "lambda": format_rational(module.lam) if module.lam is not None else "",
-            "case": verdict.case,
-            "M": verdict.M if verdict.M is not None else "",
-            "dimension": verdict.dimension if verdict.dimension is not None
-            else "infinite",
-            **row,
-        })
+    summary = {**_module_fields(module), "case": verdict.case,
+               "M": verdict.M if verdict.M is not None else "",
+               "dimension": verdict.dimension if verdict.dimension is not None
+               else "infinite"}
+    rows = [{**summary, **row} for row in verdict.per_level]
     _emit(args, payload,
           ["kind", "r", "lambda", "case", "M", "dimension", "level", "verma_dim",
            "submodule_dim", "quotient_dim"], rows)
@@ -234,11 +210,9 @@ def cmd_dims(args) -> int:
     module = _module_from_args(args)
     max_level = args.max_level if args.max_level is not None else args.level_cap
     table = submodule_quotient.quotient_dims(module, max_level)
-    payload = table
-    rows = _dims_rows(module, table)
-    _emit(args, payload,
+    _emit(args, table,
           ["kind", "r", "lambda", "level", "verma_dim", "submodule_dim",
-           "quotient_dim"], rows)
+           "quotient_dim"], [{**_module_fields(module), **row} for row in table])
     return 0
 
 
@@ -269,14 +243,10 @@ def build_parser(config: RunConfig) -> argparse.ArgumentParser:
                         default=config.output_format, help="output format")
     common.add_argument("--out", default=config.output_path,
                         help="write output to this path instead of stdout")
-    common.add_argument("--seed", type=int, default=config.seed,
-                        help="seed for any randomized sampling (reproducibility)")
-    common.add_argument("--level-cap", dest="level_cap", type=int,
-                        default=config.level_cap, help="largest level for sweeps")
-    common.add_argument("--m-cap", dest="m_cap", type=int, default=config.m_cap,
-                        help="largest singular-vector order for sweeps")
-    common.add_argument("--samples", type=int, default=config.samples,
-                        help="sample count for randomized sweeps")
+    capped = argparse.ArgumentParser(add_help=False, parents=[common])
+    capped.add_argument("--level-cap", dest="level_cap", type=int,
+                        default=config.level_cap,
+                        help="largest level of a sweep or of a table without --max-level")
 
     parser = argparse.ArgumentParser(
         prog="z2rep",
@@ -294,7 +264,7 @@ def build_parser(config: RunConfig) -> argparse.ArgumentParser:
                        help="dump the structure-constant table")
     p.set_defaults(func=cmd_bracket_table)
 
-    p = sub.add_parser("singular", parents=[common],
+    p = sub.add_parser("singular", parents=[capped],
                        help="singular vectors by exact null-space computation")
     p.add_argument("--kind", choices=("mr", "mrl"), required=True)
     p.add_argument("--r", required=True, help='rational, e.g. "-2" or "1/3"')
@@ -313,7 +283,7 @@ def build_parser(config: RunConfig) -> argparse.ArgumentParser:
     p.add_argument("--max-level", dest="max_level", type=int)
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("dims", parents=[common],
+    p = sub.add_parser("dims", parents=[capped],
                        help="per-level weight-space / submodule / quotient dimensions")
     p.add_argument("--kind", choices=("mr", "mrl"), required=True)
     p.add_argument("--r", required=True)
@@ -339,8 +309,8 @@ def main(argv=None) -> int:
         return 2
     parser = build_parser(config)
     args = parser.parse_args(argv)
-    if args.level_cap <= 0 or args.m_cap <= 0 or args.samples <= 0:
-        print("error: caps and sample counts must be positive", file=sys.stderr)
+    if getattr(args, "level_cap", 1) <= 0:
+        print("error: --level-cap must be positive", file=sys.stderr)
         return 2
     try:
         return args.func(args)

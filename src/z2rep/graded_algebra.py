@@ -33,9 +33,6 @@ AD_WEIGHT: dict[str, int] = {
     "am": -1, "atm": -1, "Lm": -2, "Ltm": -2,
 }
 
-RAISING = ("ap", "atp", "Lp", "Ltp")
-LOWERING = ("am", "atm", "Lm", "Ltm")
-
 SECTORS: tuple[Degree, ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 

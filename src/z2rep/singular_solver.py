@@ -210,23 +210,9 @@ def find_singular(module: VermaModule, level: int, sector: Degree) -> SingularRe
                 match = "exact" if c == 1 else "scalar-multiple"
     report = SingularReport(module, level, sector, vectors, match)
     if predicted is not None and match in ("exact", "scalar-multiple"):
-        which, M = predicted
-        _attach_rtilde(report, which, M)
+        check = rtilde_check(module, *predicted)
+        report.rtilde_computed, report.rtilde_stated = check.computed, check.stated
     return report
-
-
-def _attach_rtilde(report: SingularReport, which: str, M: int) -> None:
-    module = report.module
-    if which == "chi11":
-        image = act("Rt", closed_form(module, "chi11", M))
-        report.rtilde_computed = (Fraction(0) if image.is_zero() else None)
-        report.rtilde_stated = Fraction(0)
-        return
-    other = "chi10" if which == "chi01" else "chi01"
-    image = act("Rt", closed_form(module, which, M))
-    report.rtilde_computed = proportionality(image, closed_form(module, other, M))
-    report.rtilde_stated = (Fraction(2 * M + 1) if module.kind == "Mr"
-                            else 1 - module.r)
 
 
 @dataclass
@@ -239,32 +225,26 @@ class RtildeCheck:
     def matches(self) -> bool:
         return self.computed == self.stated
 
-    def to_json(self) -> dict:
-        return {"which": self.which,
-                "computed": None if self.computed is None
-                else format_rational(self.computed),
-                "stated": format_rational(self.stated),
-                "matches": self.matches}
+
+def rtilde_check(module: VermaModule, which: str, M: int) -> RtildeCheck:
+    """Exact action of Rt on one closed-form singular vector vs its stated coefficient.
+
+    Rt maps chi01 to c*chi10 and chi10 to c*chi01, with c = 2M+1 for Mr and
+    c = 1-r for MrLambda, and annihilates chi11.  A mismatch is reported, not
+    raised: comparisons are findings.
+    """
+    image = act("Rt", closed_form(module, which, M))
+    if which == "chi11":
+        return RtildeCheck(which, Fraction(0) if image.is_zero() else None, Fraction(0))
+    other = closed_form(module, "chi10" if which == "chi01" else "chi01", M)
+    stated = Fraction(2 * M + 1) if module.kind == "Mr" else 1 - module.r
+    return RtildeCheck(which, proportionality(image, other), stated)
 
 
 def verify_rtilde_relations(module: VermaModule, M: int) -> list[RtildeCheck]:
-    """Exact action of Rt on the closed-form singular vectors vs stated coefficients.
-
-    Mismatches are reported, not raised: comparisons are findings.
-    """
-    chi01 = closed_form(module, "chi01", M)
-    chi10 = closed_form(module, "chi10", M)
-    stated = Fraction(2 * M + 1) if module.kind == "Mr" else 1 - module.r
-    checks = [
-        RtildeCheck("chi01", proportionality(act("Rt", chi01), chi10), stated),
-        RtildeCheck("chi10", proportionality(act("Rt", chi10), chi01), stated),
-    ]
-    if module.kind == "Mr":
-        chi11 = closed_form(module, "chi11", M)
-        image = act("Rt", chi11)
-        checks.append(RtildeCheck(
-            "chi11", Fraction(0) if image.is_zero() else None, Fraction(0)))
-    return checks
+    """rtilde_check on chi01, chi10 and, for Mr, chi11."""
+    kinds = ("chi01", "chi10", "chi11") if module.kind == "Mr" else ("chi01", "chi10")
+    return [rtilde_check(module, which, M) for which in kinds]
 
 
 # --- recurrence systems -----------------------------------------------------

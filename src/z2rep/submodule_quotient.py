@@ -25,7 +25,7 @@ from .graded_algebra import DEGREE, Degree, degree_add
 from .rationals import format_rational
 from .singular_solver import closed_form, lowering_map, sectors_for_level
 from .verma import (Ket, VermaModule, Vector, act_word, action_rows,
-                    enumerate_level, sector_kets, vector_to_json)
+                    enumerate_level, sector_kets)
 
 
 class ConsistencyError(RuntimeError):
@@ -88,11 +88,6 @@ class SubmoduleLevel:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def to_json(self) -> dict:
-        return {"kind": self.module.kind, "M": self.M, "q": self.q,
-                "dim": self.dim,
-                "basis": [vector_to_json(v) for v in self.basis]}
 
 
 def submodule_basis(module: VermaModule, M: int, q: int) -> SubmoduleLevel:
@@ -251,13 +246,6 @@ class MembershipReport:
     determinant: Fraction
     residual_zero: bool
 
-    def to_json(self) -> dict:
-        return {"M": self.M,
-                "coefficients": [format_rational(c) for c in self.coefficients],
-                "matrix": self.matrix,
-                "determinant": format_rational(self.determinant),
-                "residual_zero": self.residual_zero}
-
 
 def chi11_membership(M: int) -> MembershipReport:
     """Decompose the (1,1)-sector singular vector over raising words applied
@@ -291,36 +279,21 @@ def chi11_membership(M: int) -> MembershipReport:
     return MembershipReport(M, coeffs, matrix, determinant, residual_zero)
 
 
-def _dims_table(module: VermaModule, max_level: int, wdim: dict[int, int]) -> list[dict]:
+def _dims_table(w: Submodule, max_level: int) -> list[dict]:
     rows = []
     for n in range(max_level + 1):
-        total = verma_dim(module, n)
-        w = wdim.get(n, 0)
-        rows.append({"level": n, "verma_dim": total, "submodule_dim": w,
-                     "quotient_dim": total - w})
+        total, sub = verma_dim(w.module, n), w.dim(n)
+        rows.append({"level": n, "verma_dim": total, "submodule_dim": sub,
+                     "quotient_dim": total - sub})
     return rows
 
 
-def quotient_dims(module: VermaModule, max_level: int,
-                  exact: bool = True) -> list[dict]:
+def quotient_dims(module: VermaModule, max_level: int) -> list[dict]:
     """Per-level table of weight-space, submodule and quotient dimensions.
 
-    exact=True recomputes dim W by span reduction; exact=False uses the
-    closed formula min(2(q+1), weight-space dim) above the lowest singular
-    level (only meaningful when a single M satisfies the constraint).
+    dim W is computed by exact span reduction, never from a formula.
     """
-    orders = detect_singular_orders(module)
-    if exact:
-        w = build_submodule(module, max_level, orders)
-        wdim = {n: w.dim(n) for n in w.pieces}
-    else:
-        wdim = {}
-        if orders:
-            M = orders[0]
-            for n in range(2 * M + 1, max_level + 1):
-                q = n - (2 * M + 1)
-                wdim[n] = min(2 * (q + 1), verma_dim(module, n))
-    return _dims_table(module, max_level, wdim)
+    return _dims_table(build_submodule(module, max_level), max_level)
 
 
 @dataclass
@@ -391,7 +364,7 @@ def classify_module(module: VermaModule,
         support = 4 * M + 1
         max_level = max(max_level, support + 1)
     w = build_submodule(module, max_level, orders)
-    per_level = _dims_table(module, max_level, {n: w.dim(n) for n in w.pieces})
+    per_level = _dims_table(w, max_level)
     dimension = None
     checked = False
     if case == "ii":

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,28 @@ def test_even_chain_closing_scalar_route():
     rows = find_invariant_subspace(hm)
     assert rows is not None and len(rows) == 2
     assert is_invariant(hm, rows)
+
+
+def test_parity_blocks_of_rt_squared_have_closing_polynomial():
+    # the even-chain search takes its eigen pairs from the even block alone;
+    # that is complete because both blocks share the closing polynomial
+    rng = random.Random(11)
+    for n in range(2, 13, 2):
+        grid = [[F(0)] * (n // 2)]
+        for _ in range(12):
+            c = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n // 2)]
+            c[0] *= rng.randint(0, 1)  # c_0 = 0 puts t = 0 among the roots
+            grid.append(c)
+        for c in grid:
+            hm = build_h_module(n, Fraction(rng.randint(-5, 5), 3), c)
+            sq = [[sum((hm.mat_rt[i][t] * hm.mat_rt[t][j] for t in range(n)), F(0))
+                   for j in range(n)] for i in range(n)]
+            for p in (0, 1):
+                idx = [i for i in range(n) if hm.parity[i] == p]
+                assert all(sq[i][j] == 0 for i in idx for j in range(n)
+                           if hm.parity[j] != p)
+                block = [[sq[i][j] for j in idx] for i in idx]
+                assert linalg.char_poly(block) == t_polynomial(n, c)
 
 
 def test_even_chain_all_zero_closing():

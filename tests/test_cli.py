@@ -156,7 +156,7 @@ def test_determinism_byte_identical(capsys):
     outputs = []
     for _ in range(2):
         code, out, _ = run_cli(capsys, "singular", "--kind", "mr", "--r", "-2",
-                               "--sweep", "--level-cap", "7", "--seed", "3")
+                               "--sweep", "--level-cap", "7")
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
@@ -184,10 +184,10 @@ def test_bad_caps_rejected(capsys):
 
 def test_env_config(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"level_cap": 5, "M_cap": 3, "output_format": "csv"}))
+    cfg.write_text(json.dumps({"level_cap": 5, "output_format": "csv"}))
     monkeypatch.setenv("Z2REP_CONFIG", str(cfg))
     config = load_run_config()
-    assert config.level_cap == 5 and config.m_cap == 3
+    assert config.level_cap == 5
     assert config.output_format == "csv"
     code, out, _ = run_cli(capsys, "singular", "--kind", "mr", "--r", "1/2",
                            "--sweep")
@@ -200,6 +200,38 @@ def test_env_config(tmp_path, monkeypatch, capsys):
                            "--sweep", "--format", "json")
     assert code == 0
     json.loads(out)
+
+
+@pytest.mark.parametrize("payload", [
+    [{"level_cap": 5}],
+    {"level_cap": "5"},
+    {"level_cap": 2.5},
+    {"level_cap": True},
+    {"level_cap": 0},
+    {"output_format": "xml"},
+    {"output_path": 10 ** 6},
+    {"output_path": None},
+], ids=repr)
+def test_env_config_malformed_values(payload, tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    monkeypatch.setenv("Z2REP_CONFIG", str(cfg))
+    code, out, err = run_cli(capsys, "singular", "--kind", "mr", "--r", "1/2",
+                             "--sweep")
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad Z2REP_CONFIG")
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--kind", "mr", "--r", "-4", "--level-cap", "5"),
+    ("cartan", "--n", "1", "--r", "0", "--seed", "1"),
+    ("verify-algebra", "--m-cap", "3"),
+    ("bracket-table", "--samples", "2"),
+])
+def test_unread_flags_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
 
 
 def test_env_config_bad_file(tmp_path, monkeypatch, capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from z2rep import linalg
-from z2rep.singular_solver import closed_form
+from z2rep.singular_solver import closed_form, find_singular, sectors_for_level
 from z2rep.submodule_quotient import (chi11_membership, classify_module,
                                       detect_singular_orders, membership_matrix,
                                       quotient_dims, singular_pair,
@@ -156,10 +156,17 @@ def test_quotient_dims_case_iv():
 
 
 def test_quotient_dims_formula_agrees_with_exact():
+    # closed formula: dim W = min(2(q+1), weight-space dim) at offset
+    # q = n - (2M+1) >= 0 above the singular level, zero below it
     for mod in (mr(-4), mrl(1, 1), mrl(Fraction(1, 5), (Fraction(1, 5) + 4) ** 2)):
-        exact = quotient_dims(mod, 11, exact=True)
-        formula = quotient_dims(mod, 11, exact=False)
-        assert exact == formula
+        M = detect_singular_orders(mod)[0]
+        formula = []
+        for n in range(12):
+            total, q = verma_dim(mod, n), n - (2 * M + 1)
+            w = min(2 * (q + 1), total) if q >= 0 else 0
+            formula.append({"level": n, "verma_dim": total, "submodule_dim": w,
+                            "quotient_dim": total - w})
+        assert quotient_dims(mod, 11) == formula
 
 
 def test_classify_case_ii():
@@ -186,6 +193,35 @@ def test_classify_case_iv():
     for row in verdict.per_level:
         if row["level"] >= 5:
             assert row["quotient_dim"] == 10  # 4M + 2
+
+
+def _lowest_singular_level(mod, cap):
+    for level in range(1, cap + 1):
+        for sector in sectors_for_level(level):
+            if find_singular(mod, level, sector).nullspace:
+                return level
+    return None
+
+
+@pytest.mark.parametrize("mod", [mr(Fraction(-k, 2)) for k in range(25)] + [
+    mrl(Fraction(1, 3), Fraction(49, 9)), mrl(Fraction(-5, 2), Fraction(9, 4)),
+    mrl(Fraction(1, 2), Fraction(1, 4)), mrl(0, 16), mrl(1, 1),
+    # two orders: integer r with (r + 2M)^2 = lambda at two M
+    mrl(-5, 9), mrl(-3, 1), mrl(-1, 1), mrl(-2, 4),
+    # lambda not a square, or r off the lattice: case iii
+    mrl(1, 3), mrl(0, 2), mrl(-3, 5), mrl(2, -1), mrl(Fraction(1, 3), 1),
+], ids=lambda mod: f"{mod.kind}-r{mod.r}-l{mod.lam}")
+def test_classify_matches_brute_force_sweep(mod):
+    # cases ii/iv: M is fixed by the lowest level 2M+1 holding a singular
+    # vector; cases i/iii: no singular vector up to the sweep cap
+    cap = 16
+    lowest = _lowest_singular_level(mod, cap)
+    verdict = classify_module(mod)
+    if verdict.case in ("i", "iii"):
+        assert lowest is None and verdict.M is None
+    else:
+        assert verdict.case == ("ii" if mod.kind == "Mr" else "iv")
+        assert lowest == 2 * verdict.M + 1
 
 
 def test_classify_two_order_parameters():
