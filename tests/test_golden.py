@@ -47,6 +47,11 @@ CASES = {
                                     "--lambda=49/9", "--sweep", "--level-cap", "8"),
     "singular_mrl_r-5_l9_sweep8": ("singular", "--kind", "mrl", "--r=-5", "--lambda=9",
                                    "--sweep", "--level-cap", "8"),
+    # no singular vector at any level: every lowering map has full rank
+    "singular_mr_r-1_3_sweep24": ("singular", "--kind", "mr", "--r=-1/3", "--sweep",
+                                  "--level-cap", "24"),
+    "singular_mrl_r2_7_l-5_sweep16": ("singular", "--kind", "mrl", "--r=2/7",
+                                      "--lambda=-5", "--sweep", "--level-cap", "16"),
     # the invariant-subspace search on chain modules
     "cartan_n12_r0": ("cartan", "--n", "12", "--r", "0", "--c", "1,0,2,0,3,0"),
     "cartan_n4_c0_1": ("cartan", "--n", "4", "--r", "0", "--c", "0,1"),

@@ -90,3 +90,86 @@ def test_char_poly_roots_are_eigenvalues(rows_int):
         shifted = [[a[i][j] - (t if i == j else 0) for j in range(3)]
                    for i in range(3)]
         assert linalg.rank(shifted) < 3
+
+
+def _oracle_rref(rows, ncols):
+    """Gauss-Jordan elimination in Fractions: (RREF rows, pivot columns)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if hit is None:
+            continue
+        m[r], m[hit] = m[hit], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                m[i] = [a - m[i][c] * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+def _oracle_nullspace(rows, ncols):
+    """The Fraction null space: RREF, the free-column basis, then RREF again."""
+    rr, pivots = _oracle_rref(rows, ncols)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for i, c in enumerate(pivots):
+            v[c] = -rr[i][f]
+        basis.append(v)
+    return _oracle_rref(basis, ncols)[0] if basis else []
+
+
+@st.composite
+def int_matrices(draw):
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    shape = draw(st.sampled_from(["zero-row", "all-zero", "full-rank", "deficient",
+                                  "any"]))
+    if shape == "zero-row":
+        return [], ncols
+    nrows = draw(st.integers(min_value=1, max_value=7))
+    if shape == "all-zero":
+        return [[0] * ncols for _ in range(nrows)], ncols
+    rows = draw(st.lists(st.lists(small, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    if shape == "full-rank":
+        # a unit upper-triangular block under random rows has rank ncols
+        rows += [[0] * j + [1] + draw(st.lists(small, min_size=ncols - j - 1,
+                                               max_size=ncols - j - 1))
+                 for j in range(ncols)]
+    elif shape == "deficient" and ncols > 1:
+        # the last column repeats the first: (1, 0, ..., 0, -1) is in the kernel
+        rows = [row[:-1] + [row[0]] for row in rows]
+    return rows, ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrices(), st.lists(st.fractions(min_value=-5, max_value=5,
+                                             max_denominator=6)
+                                .filter(lambda x: x != 0), min_size=20, max_size=20))
+def test_nullspace_matches_fraction_oracle(matrix, row_scales):
+    rows, ncols = matrix
+    expected = _oracle_nullspace(rows, ncols)
+    fractions = [[Fraction(x) for x in row] for row in rows]
+    scaled = [[s * x for x in row] for s, row in zip(row_scales, rows)]
+    for form in (rows, fractions, scaled):
+        kernel = linalg.nullspace(form, ncols)
+        assert kernel == expected
+        assert all(type(x) is Fraction for vec in kernel for x in vec)
+
+
+@pytest.mark.parametrize("rows, ncols, dim", [
+    ([], 3, 3),
+    ([[0, 0, 0], [0, 0, 0]], 3, 3),
+    ([[1, 2], [3, 4], [5, 6]], 2, 0),
+    ([[2, 4, 6], [1, 2, 3]], 3, 2),
+])
+def test_nullspace_shapes(rows, ncols, dim):
+    kernel = linalg.nullspace(rows, ncols)
+    assert len(kernel) == dim
+    assert kernel == _oracle_nullspace(rows, ncols)

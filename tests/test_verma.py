@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from z2rep.graded_algebra import AD_WEIGHT, DEGREE, GENERATORS, degree_add
 from z2rep.verma import (Ket, VermaModule, Vector, act, act_element,
-                         act_word, enumerate_level, representation_residual,
-                         sector_kets, vector_to_json, zero_vector)
+                         act_word, action_rows, enumerate_level,
+                         representation_residual, sector_kets, vector_to_json,
+                         zero_vector)
 from z2rep.graded_algebra import Element
 
 MR = VermaModule("Mr", Fraction(1))
@@ -182,3 +183,21 @@ def test_sector_kets_canonical_order():
 def test_zero_vector():
     assert zero_vector(MR).is_zero()
     assert (MR.basis_vector(0, 1, 0) - MR.basis_vector(0, 1, 0)).is_zero()
+
+
+@pytest.mark.parametrize("module, gen, good_scale, bad_scale", [
+    (VermaModule("Mr", Fraction(1, 3)), "am", 3, 1),
+    (VermaModule("Mr", Fraction(-5, 4)), "atm", 4, 1),
+    (VermaModule("MrLambda", Fraction(2, 7), Fraction(-5, 3)), "am", 21, 7),
+    (VermaModule("MrLambda", Fraction(2, 7), Fraction(-5, 3)), "atm", 21, 3),
+])
+def test_action_rows_scale_clears_denominators(module, gen, good_scale, bad_scale):
+    kets = list(enumerate_level(module, 5).kets)
+    targets = list(enumerate_level(module, 4).kets)
+    rows = action_rows(module, gen, kets, targets, good_scale)
+    for ket, row in zip(kets, rows):
+        image = act(gen, Vector(module, {ket: 1}))
+        assert all(type(c) is int for _, c in row)
+        assert {targets[t]: Fraction(c, good_scale) for t, c in row} == image.terms
+    with pytest.raises(ValueError, match=f"scale {bad_scale} leaves {gen}"):
+        action_rows(module, gen, kets, targets, bad_scale)
