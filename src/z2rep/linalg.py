@@ -10,21 +10,24 @@ are reduced by their gcd.  No floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
-def _fracs(rows) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
+def _int_row(row) -> tuple[list[int], int]:
+    """The row times the lcm of its denominators, and that lcm.
+
+    A row of ints passes through as it is, without building a Fraction.
+    """
+    if all(type(x) is int for x in row):
+        return row, 1
+    row = [Fraction(x) for x in row]
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row], den
 
 
-def _scaled_int_rows(rows: list[list[Fraction]]) -> list[list[int]]:
-    out = []
-    for row in rows:
-        den = 1
-        for x in row:
-            den = den // gcd(den, x.denominator) * x.denominator
-        out.append([int(x.numerator * (den // x.denominator)) for x in row])
-    return out
+def _int_rows(rows) -> list[list[int]]:
+    """Integer rows with the same row space as the given rational rows."""
+    return [_int_row(row)[0] for row in rows]
 
 
 def echelon(rows_int: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -66,18 +69,12 @@ def echelon(rows_int: list[list[int]]) -> tuple[list[list[int]], list[int]]:
 
 
 def rank(rows) -> int:
-    fr = _fracs(rows)
-    if not fr:
-        return 0
-    return len(echelon(_scaled_int_rows(fr))[1])
+    return len(echelon(_int_rows(rows))[1])
 
 
 def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form (leading ones, zeros above pivots)."""
-    fr = _fracs(rows)
-    if not fr:
-        return [], []
-    ech, pivots = echelon(_scaled_int_rows(fr))
+    ech, pivots = echelon(_int_rows(rows))
     return echelon_to_rref(ech, pivots), pivots
 
 
@@ -119,8 +116,15 @@ def reduce_mod_span(rr_rows: list[list[Fraction]], pivots: list[int], vec) -> li
 
 
 def nullspace(rows, ncols: int) -> list[list[Fraction]]:
-    """RREF-normalized basis of the right kernel of the matrix."""
-    rr, pivots = rref(rows)
+    """RREF-normalized basis of the right kernel of the matrix.
+
+    The rows are eliminated as integers.  A matrix of full column rank
+    returns [] there; Fractions are built only for a nonzero kernel.
+    """
+    ech, pivots = echelon(_int_rows(rows))
+    if len(pivots) == ncols:
+        return []
+    rr = echelon_to_rref(ech, pivots)
     pivset = {c: i for i, c in enumerate(pivots)}
     basis = []
     for f in range(ncols):
@@ -131,18 +135,13 @@ def nullspace(rows, ncols: int) -> list[list[Fraction]]:
         for c, i in pivset.items():
             v[c] = -rr[i][f]
         basis.append(v)
-    if not basis:
-        return []
-    norm, _ = rref(basis)
-    return norm
+    return rref(basis)[0]
 
 
 def solve_unique(a_rows, b) -> list[Fraction]:
     """Solve A x = b exactly; raises ValueError unless the solution is unique."""
-    fr = _fracs(a_rows)
-    ncols = len(fr[0])
-    aug = [row + [Fraction(bi)] for row, bi in zip(fr, b)]
-    rr, pivots = rref(aug)
+    ncols = len(a_rows[0])
+    rr, pivots = rref([[*row, bi] for row, bi in zip(a_rows, b)])
     if ncols in pivots:
         raise ValueError("inconsistent linear system")
     if len(pivots) < ncols:
@@ -179,18 +178,13 @@ def _det_int(m: list[list[int]]) -> int:
 
 
 def det(a_rows) -> Fraction:
-    fr = _fracs(a_rows)
-    if not fr:
-        return Fraction(1)
-    scale = Fraction(1)
+    scale = 1
     ints = []
-    for row in fr:
-        den = 1
-        for x in row:
-            den = den // gcd(den, x.denominator) * x.denominator
+    for row in a_rows:
+        int_row, den = _int_row(row)
+        ints.append(int_row)
         scale *= den
-        ints.append([int(x.numerator * (den // x.denominator)) for x in row])
-    return Fraction(_det_int(ints)) / scale
+    return Fraction(_det_int(ints), scale)
 
 
 def poly_mul(p, q) -> list[Fraction]:

@@ -192,7 +192,7 @@ def find_singular(module: VermaModule, level: int, sector: Degree) -> SingularRe
     vectors: list[Vector] = []
     if kets:
         images = lowering_map(module, level, sector, kets)
-        for coords in linalg.nullspace([list(col) for col in zip(*images)], len(kets)):
+        for coords in linalg.nullspace(list(zip(*images)), len(kets)):
             vectors.append(Vector(module, dict(zip(kets, coords))))
     predicted = applicable_closed_form(module, level, sector)
     if predicted is None:

@@ -162,11 +162,10 @@ def build_submodule(module: VermaModule, max_level: int,
     pieces: dict[int, dict[Degree, Piece]] = {}
     kets_below: dict[Degree, list[Ket]] = {}
     for n in range(min(seeds, default=max_level + 1), max_level + 1):
-        space = enumerate_level(module, n)
         level = pieces[n] = {}
         kets_here = {}
         for sector in sectors_for_level(n):
-            kets = kets_here[sector] = space.sector(sector)
+            kets = kets_here[sector] = sector_kets(module, n, sector)
             rows = [_integer_coords(v, kets) for v in seeds.get(n, ())
                     if v.degree() == sector]
             for gen in ("ap", "atp"):

@@ -68,7 +68,8 @@ class VermaModule:
         if self.kind == "MrLambda" and ket.beta not in (0, 1):
             raise ValueError("MrLambda kets need beta in {0, 1}")
 
-    def degree(self, ket: Ket) -> tuple[int, int]:
+    @staticmethod
+    def degree(ket: Ket) -> tuple[int, int]:
         b = ket.beta or 0
         return ((ket.alpha + ket.m + b) % 2, (ket.k + ket.m + b) % 2)
 
@@ -170,13 +171,12 @@ def _ket_action(kind: str, r: Fraction, lam: Fraction | None,
     kb = k % 2
     sgn = -1 if kb else 1  # (-1)^k
     mrl = kind == "MrLambda"
-    out: dict[Ket, Fraction] = {}
+    out: dict[Ket, int | Fraction] = {}
 
     def put(a2, k2, m2, b2, coeff):
-        coeff = Fraction(coeff)
         if coeff and k2 >= 0 and m2 >= 0:
             key = Ket(a2, k2, m2, b2)
-            out[key] = out.get(key, Fraction(0)) + coeff
+            out[key] = out.get(key, 0) + coeff
 
     if gen == "R":
         put(a, k, m, b, r + a + k + 2 * m)
@@ -247,7 +247,8 @@ def _ket_action(kind: str, r: Fraction, lam: Fraction | None,
     else:
         raise ValueError(f"unknown generator {gen!r}")
 
-    return tuple(sorted(out.items(), key=lambda it: ket_sort_key(it[0])))
+    return tuple((key, Fraction(c))
+                 for key, c in sorted(out.items(), key=lambda it: ket_sort_key(it[0])))
 
 
 def act(gen: str, vec: Vector) -> Vector:
@@ -273,10 +274,10 @@ def action_rows(module: VermaModule, gen: str, kets: list[Ket], targets: list[Ke
     for ket in kets:
         row = []
         for tket, c in _ket_action(module.kind, module.r, module.lam, gen, ket):
-            c *= scale
-            if c.denominator != 1:
-                raise ValueError(f"scale {scale} leaves {gen} coefficient {c}")
-            row.append((index[tket], c.numerator))
+            q, rem = divmod(c.numerator * scale, c.denominator)
+            if rem:
+                raise ValueError(f"scale {scale} leaves {gen} coefficient {c * scale}")
+            row.append((index[tket], q))
         out.append(row)
     return out
 
@@ -318,16 +319,17 @@ class WeightSpace:
     def dim(self) -> int:
         return len(self.kets)
 
-    def sector(self, sector: tuple[int, int]) -> list[Ket]:
-        return [k for k in self.kets if self.module.degree(k) == sector]
-
 
 def enumerate_level(module: VermaModule, n: int) -> WeightSpace:
     """All kets with alpha + k + 2m = n, in canonical order."""
+    return WeightSpace(module, n, _level_kets(module.kind, n))
+
+
+def _level_kets(kind: str, n: int) -> tuple[Ket, ...]:
     if n < 0:
         raise ValueError("level must be nonnegative")
     kets = []
-    betas = (None,) if module.kind == "Mr" else (0, 1)
+    betas = (None,) if kind == "Mr" else (0, 1)
     for alpha in (0, 1):
         rest = n - alpha
         if rest < 0:
@@ -337,11 +339,21 @@ def enumerate_level(module: VermaModule, n: int) -> WeightSpace:
             for beta in betas:
                 kets.append(Ket(alpha, k, m, beta))
     kets.sort(key=ket_sort_key)
-    return WeightSpace(module, n, tuple(kets))
+    return tuple(kets)
 
 
 def sector_kets(module: VermaModule, n: int, sector: tuple[int, int]) -> list[Ket]:
-    return enumerate_level(module, n).sector(sector)
+    """The kets of one Z2xZ2 sector of level n, in canonical order.
+
+    They depend on the module kind only, so every module of a kind shares
+    one cached tuple; each caller gets its own list.
+    """
+    return list(_sector_kets(module.kind, n, sector))
+
+
+@lru_cache(maxsize=1024)
+def _sector_kets(kind: str, n: int, sector: tuple[int, int]) -> tuple[Ket, ...]:
+    return tuple(k for k in _level_kets(kind, n) if VermaModule.degree(k) == sector)
 
 
 def vector_to_json(vec: Vector) -> dict:

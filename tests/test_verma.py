@@ -180,6 +180,16 @@ def test_sector_kets_canonical_order():
     assert kets == sorted(kets, key=lambda k: (k.m, k.k, k.alpha, k.beta or 0))
 
 
+def test_sector_kets_cache_cannot_be_mutated():
+    kets = sector_kets(MR, 5, (0, 1))
+    expected = list(kets)
+    kets.clear()
+    other = VermaModule("Mr", Fraction(-7, 3))
+    assert sector_kets(other, 5, (0, 1)) == expected
+    assert expected == [k for k in enumerate_level(other, 5).kets
+                        if other.degree(k) == (0, 1)]
+
+
 def test_zero_vector():
     assert zero_vector(MR).is_zero()
     assert (MR.basis_vector(0, 1, 0) - MR.basis_vector(0, 1, 0)).is_zero()
