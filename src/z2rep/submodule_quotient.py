@@ -344,7 +344,9 @@ def classify_module(module: VermaModule,
     (ii) it truncates to total dimension (2M+1)^2, (iii) the two-parameter
     Verma module is irreducible, (iv) it has an infinite-dimensional quotient
     of constant per-level dimension.  "Infinite" means the per-level table is
-    verified non-terminating up to the level cap.
+    verified non-terminating up to the level cap.  When the case-iv
+    constraint holds at two orders (integer r), the quotient is finite; the
+    cap is raised to 2(M1 + M2) + 2 so that the table reaches past its end.
     """
     orders = detect_singular_orders(module)
     if module.kind == "Mr":
@@ -362,6 +364,11 @@ def classify_module(module: VermaModule,
     if case == "ii":
         support = 4 * M + 1
         max_level = max(max_level, support + 1)
+    elif case == "iv":
+        # with two orders M1 < M2 the quotient ends at level 2(M1 + M2), and
+        # the two empty levels above it must be in the table; with one order,
+        # at least one level above the singular level must be
+        max_level = max(max_level, 2 * sum(orders) + 2)
     w = build_submodule(module, max_level, orders)
     per_level = _dims_table(w, max_level)
     dimension = None

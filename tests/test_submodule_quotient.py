@@ -235,6 +235,31 @@ def test_classify_two_order_parameters():
     assert quots == [2, 4, 6, 6, 6, 4, 2, 0, 0, 0]
 
 
+@pytest.mark.parametrize("s", range(1, 5))
+@pytest.mark.parametrize("m1", range(5))
+def test_two_order_quotient_is_finite(m1, s):
+    # lambda = s^2 and r = -s - 2 M1 meet (r + 2M)^2 = lambda at M1 and at
+    # M2 = M1 + s.  The quotient then ends at level 2(M1 + M2) with total
+    # dimension 2(2M1+1)(2M2+1), whatever level cap is asked for.
+    m2 = m1 + s
+    module = mrl(-s - 2 * m1, s * s)
+    assert detect_singular_orders(module) == [m1, m2]
+    for cap in (None, 0, 2 * m1 + 1):
+        verdict = classify_module(module, max_level=cap)
+        assert verdict.case == "iv" and verdict.M == m1
+        assert verdict.dimension == 2 * (2 * m1 + 1) * (2 * m2 + 1)
+        assert verdict.quotient_irreducible_checked
+        top = max(row["level"] for row in verdict.per_level if row["quotient_dim"])
+        assert top == 2 * (m1 + m2)
+        assert sum(row["quotient_dim"] for row in verdict.per_level) == verdict.dimension
+
+
+def test_single_order_cap_reaches_past_the_singular_level():
+    verdict = classify_module(mrl(1, 1), max_level=0)
+    assert verdict.case == "iv" and verdict.M == 0 and verdict.dimension is None
+    assert [row["quotient_dim"] for row in verdict.per_level] == [2, 2, 2]
+
+
 def test_classify_json():
     data = classify_module(mr(-2)).to_json()
     assert data["kind"] == "Mr" and data["case"] == "ii"
