@@ -301,6 +301,24 @@ def build_parser(config: RunConfig) -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join an option and a following "-1/3" or "-6,0,5,0" into "--r=-1/3".
+
+    argparse takes every token that starts with "-" for an option, except a
+    plain negative number, so a negative fraction or comma list given as a
+    separate token would be refused.  No option here starts with "-" and a
+    digit.
+    """
+    out: list[str] = []
+    for token in argv:
+        if (out and re.match(r"-\d", token) and out[-1].startswith("--")
+                and out[-1] != "--" and "=" not in out[-1]):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     try:
         config = load_run_config()
@@ -308,9 +326,13 @@ def main(argv=None) -> int:
         print(f"error: bad {CONFIG_ENV}: {exc}", file=sys.stderr)
         return 2
     parser = build_parser(config)
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(
+        sys.argv[1:] if argv is None else list(argv)))
     if getattr(args, "level_cap", 1) <= 0:
         print("error: --level-cap must be positive", file=sys.stderr)
+        return 2
+    if (getattr(args, "max_level", None) or 0) < 0:
+        print("error: --max-level must be nonnegative", file=sys.stderr)
         return 2
     try:
         return args.func(args)

@@ -182,6 +182,36 @@ def test_bad_caps_rejected(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("dims", "--kind", "mr", "--r", "1", "--max-level", "-3"),
+    ("classify", "--kind", "mr", "--r", "-4", "--max-level", "-3"),
+    ("classify", "--kind", "mrl", "--r", "-5", "--lambda", "9", "--max-level=-1"),
+])
+def test_negative_max_level_rejected(argv, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "--max-level" in err
+
+
+@pytest.mark.parametrize("joined, split", [
+    (("singular", "--kind", "mr", "--r=-1/3", "--level", "3"),
+     ("singular", "--kind", "mr", "--r", "-1/3", "--level", "3")),
+    (("classify", "--kind", "mrl", "--r=-3/2", "--lambda=-9/4", "--max-level", "4"),
+     ("classify", "--kind", "mrl", "--r", "-3/2", "--lambda", "-9/4",
+      "--max-level", "4")),
+    (("dims", "--kind", "mrl", "--lambda=-9/4", "--r=-1/3", "--format", "csv"),
+     ("dims", "--kind", "mrl", "--lambda", "-9/4", "--r", "-1/3", "--format", "csv")),
+    (("cartan", "--n", "8", "--r=-2", "--c=-6,0,5,0"),
+     ("cartan", "--n", "8", "--r", "-2", "--c", "-6,0,5,0")),
+    (("cartan", "--n", "4", "--r=-1/2", "--c=-1/4,-3"),
+     ("cartan", "--n", "4", "--r", "-1/2", "--c", "-1/4,-3")),
+])
+def test_negative_rationals_as_separate_tokens(joined, split, capsys):
+    code, expected, _ = run_cli(capsys, *joined)
+    assert code == 0 and expected
+    assert run_cli(capsys, *split) == (0, expected, "")
+
+
 def test_env_config(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"level_cap": 5, "output_format": "csv"}))
