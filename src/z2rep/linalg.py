@@ -256,10 +256,7 @@ def rational_roots(coeffs) -> list[Fraction]:
         cs.pop(0)
         roots.add(Fraction(0))
     if len(cs) > 1:
-        den = 1
-        for c in cs:
-            den = den // gcd(den, c.denominator) * c.denominator
-        ints = [int(c * den) for c in cs]
+        ints, _ = _int_row(cs)
         a0, an = abs(ints[0]), abs(ints[-1])
         for p in _divisors(a0):
             for q in _divisors(an):
