@@ -328,18 +328,11 @@ def enumerate_level(module: VermaModule, n: int) -> WeightSpace:
 def _level_kets(kind: str, n: int) -> tuple[Ket, ...]:
     if n < 0:
         raise ValueError("level must be nonnegative")
-    kets = []
     betas = (None,) if kind == "Mr" else (0, 1)
-    for alpha in (0, 1):
-        rest = n - alpha
-        if rest < 0:
-            continue
-        for m in range(rest // 2 + 1):
-            k = rest - 2 * m
-            for beta in betas:
-                kets.append(Ket(alpha, k, m, beta))
-    kets.sort(key=ket_sort_key)
-    return tuple(kets)
+    # generated in canonical order: for each m, alpha = 1 has the smaller k
+    return tuple(Ket(alpha, n - alpha - 2 * m, m, beta)
+                 for m in range(n // 2 + 1) for alpha in (1, 0)
+                 if n - alpha - 2 * m >= 0 for beta in betas)
 
 
 def sector_kets(module: VermaModule, n: int, sector: tuple[int, int]) -> list[Ket]:

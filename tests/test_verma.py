@@ -178,6 +178,13 @@ def test_vector_json():
 def test_sector_kets_canonical_order():
     kets = sector_kets(MR, 3, (0, 1))
     assert kets == sorted(kets, key=lambda k: (k.m, k.k, k.alpha, k.beta or 0))
+    for mod in (MR, MRL):
+        for n in range(13):
+            kets = enumerate_level(mod, n).kets
+            assert list(kets) == sorted(kets, key=lambda k: (k.m, k.k, k.alpha, k.beta or 0))
+            for sector in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                assert sector_kets(mod, n, sector) == [k for k in kets
+                                                       if mod.degree(k) == sector]
 
 
 def test_sector_kets_cache_cannot_be_mutated():
