@@ -60,6 +60,23 @@ CASES = {
     "cartan_n6_r2": ("cartan", "--n", "6", "--r", "2", "--c", "6,-11,6"),
     "cartan_n6_r1_3": ("cartan", "--n", "6", "--r", "1/3", "--c", "0,-2,1"),
     "cartan_n7_r1_2": ("cartan", "--n", "7", "--r", "1/2", "--c", "1,2,3"),
+    # 24- to 40-bit closing coefficients
+    "cartan_n2_c40bit": ("cartan", "--n", "2", "--r", "3", "--c", "1099511628211"),
+    "cartan_n8_c24bit": ("cartan", "--n", "8", "--r", "1/5",
+                         "--c=16777259,-12582917,9437189,-14680067"),
+    # q(t) = (t - 1048583)(t + 786433)(t + 1): splits over Q with 20-bit roots
+    "cartan_n6_split20": ("cartan", "--n", "6", "--r=-3",
+                          "--c=824640274439,824640536589,262149"),
+    # non-integer closing coefficients; the second splits at 1/3, -5/7 and 2
+    "cartan_n6_c_frac": ("cartan", "--n", "6", "--r", "2/3", "--c=1/3,-5/7,2"),
+    "cartan_n6_split_frac": ("cartan", "--n", "6", "--r", "1/2", "--c=-10/21,1,34/21"),
+    # q(t) = t (t - 40961)(t + 3)(t + 65537)(t - 2/3)
+    "cartan_n10_split": ("cartan", "--n", "10", "--r", "5",
+                         "--c=0,-5368922114,18791374855/3,2684403715,-73735/3"),
+    # odd chains: the tail closes on t (t - 7)(t + 11)(t - 13), or on 32-bit terms
+    "cartan_n9_split": ("cartan", "--n", "9", "--r", "4/9", "--c=0,-1001,129,9"),
+    "cartan_n11_c32bit": ("cartan", "--n", "11", "--r", "0",
+                          "--c=2147483659,-1,0,3,-4294967311"),
     "verify_algebra": ("verify-algebra",),
     "bracket_table": ("bracket-table",),
 }
