@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from z2rep import linalg
-from z2rep.cartan_modules import (HModule, build_h_module, classify,
-                                  expected_c_length, find_invariant_subspace,
-                                  t_polynomial)
+from z2rep.cartan_modules import (HModule, _cyclic_span, _freeze, _GradedMod,
+                                  build_h_module, classify, expected_c_length,
+                                  find_invariant_subspace, t_polynomial)
 
 
 def F(x):
@@ -167,3 +167,60 @@ def test_nu_r_lambda_squares_to_lambda():
     sq = [[sum(hm.mat_rt[i][t] * hm.mat_rt[t][j] for t in range(2))
            for j in range(2)] for i in range(2)]
     assert sq == [[lam, F(0)], [F(0), lam]]
+
+
+def _oracle_cyclic_span(mat, seed):
+    """The Krylov span {v, Av, A^2 v, ...} grown in Fractions, as RREF rows."""
+    rows = [seed]
+    rr, pivots = linalg.rref(rows)
+    frontier = [seed]
+    while frontier:
+        new_frontier = []
+        for v in frontier:
+            img = mat_vec(mat, v)
+            if any(linalg.reduce_mod_span(rr, pivots, img)):
+                rows.append(img)
+                rr, pivots = linalg.rref(rows)
+                new_frontier.append(img)
+        frontier = new_frontier
+    return rr
+
+
+def _random_graded(rng, dim):
+    """A seeded random _GradedMod with rational entries, some of them zero.
+
+    Half of them flip parity as Rt does; the rest are unstructured.
+    """
+    parity = tuple(rng.randint(0, 1) for _ in range(dim))
+    flip = rng.random() < 0.5
+    density = rng.choice((0.2, 0.5, 1.0))
+    mat = [[Fraction(0)] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(dim):
+            if (not flip or parity[i] != parity[j]) and rng.random() < density:
+                mat[i][j] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return _GradedMod(Fraction(rng.randint(-5, 5), 3), _freeze(mat), parity)
+
+
+def test_cyclic_span_matches_fraction_oracle():
+    rng = random.Random(5)
+    for _ in range(150):
+        g = _random_graded(rng, rng.randint(1, 8))
+        seeds = [[int(i == j) for j in range(g.dim)] for i in range(g.dim)]
+        seeds.append([rng.randint(-4, 4) for _ in range(g.dim)])
+        for seed in seeds:
+            if any(seed):
+                assert _cyclic_span(g, seed) == _oracle_cyclic_span(g.mat, seed)
+
+
+def test_cyclic_span_of_chain_modules_matches_fraction_oracle():
+    rng = random.Random(6)
+    for n in range(2, 13):
+        for _ in range(4):
+            c = [Fraction(rng.randint(-50, 50), rng.randint(1, 9))
+                 for _ in range(expected_c_length(n))]
+            hm = build_h_module(n, 0, c)
+            g = _GradedMod(hm.r, hm.mat_rt, hm.parity)
+            for i in range(n):
+                seed = [int(i == j) for j in range(n)]
+                assert _cyclic_span(g, seed) == _oracle_cyclic_span(g.mat, seed)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -173,3 +174,84 @@ def test_nullspace_shapes(rows, ncols, dim):
     kernel = linalg.nullspace(rows, ncols)
     assert len(kernel) == dim
     assert kernel == _oracle_nullspace(rows, ncols)
+
+
+def _oracle_divisors(n):
+    n = abs(n)
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            if d != n // d:
+                out.append(n // d)
+        d += 1
+    return sorted(out)
+
+
+def _oracle_rational_roots(coeffs):
+    """Rational roots by the rational root theorem: try every p/q, p | a_0, q | a_n."""
+    cs = [Fraction(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    roots = set()
+    while cs[0] == 0:
+        cs.pop(0)
+        roots.add(Fraction(0))
+    if len(cs) > 1:
+        den = 1
+        for c in cs:
+            den = den * c.denominator // gcd(den, c.denominator)
+        a0, an = abs(cs[0] * den), abs(cs[-1] * den)
+        qs = _oracle_divisors(int(an))
+        for p in _oracle_divisors(int(a0)):
+            for q in qs:
+                for cand in (Fraction(p, q), Fraction(-p, q)):
+                    if linalg.poly_eval(cs, cand) == 0:
+                        roots.add(cand)
+    return sorted(roots)
+
+
+small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+@st.composite
+def polynomials(draw):
+    """Degree <= 6, ascending coefficients: products of rational linear factors
+    (repeats and 0 allowed) and quadratics without real roots, or random."""
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(small_fractions, min_size=1, max_size=7))
+        return coeffs if any(coeffs) else coeffs + [Fraction(1)]
+    lead = draw(small_fractions.filter(lambda x: x != 0))
+    poly = [lead]
+    degree = 0
+    while degree < 6 and draw(st.booleans()):
+        if degree <= 4 and draw(st.booleans()):
+            # t^2 + b t + c with b^2 < 4c has no real root
+            b = draw(small_fractions)
+            c = b * b / 4 + draw(st.fractions(min_value=Fraction(1, 5), max_value=5,
+                                              max_denominator=5))
+            poly = linalg.poly_mul(poly, [c, b, Fraction(1)])
+            degree += 2
+        else:
+            poly = linalg.poly_mul(poly, [-draw(small_fractions), Fraction(1)])
+            degree += 1
+    return poly
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials())
+def test_rational_roots_match_trial_division(coeffs):
+    roots = linalg.rational_roots(coeffs)
+    assert roots == _oracle_rational_roots(coeffs)
+    assert all(type(t) is Fraction for t in roots)
+    scale = -7
+    for c in coeffs:
+        scale = scale * c.denominator // gcd(scale, c.denominator)
+    # a nonzero integer multiple has the same roots
+    assert linalg.rational_roots([int(c * scale) for c in coeffs]) == roots
+
+
+def test_rational_roots_of_zero_polynomial():
+    with pytest.raises(ValueError):
+        linalg.rational_roots([F(0), F(0)])
