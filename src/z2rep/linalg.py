@@ -231,21 +231,63 @@ def char_poly(a_rows) -> list[Fraction]:
     return coeffs
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def _primitive(p: list[int]) -> list[int]:
+    """The integer polynomial divided by the gcd of its coefficients."""
+    g = gcd(*p)
+    return [x // g for x in p] if g > 1 else p
+
+
+def _neg_prem(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of -(a mod b), primitive; [] when b divides a.
+
+    Each step scales by |lc(b)| only, so every sign is that of the true
+    remainder, as a Sturm sequence needs.
+    """
+    r = list(a)
+    lb, db = b[-1], len(b) - 1
+    scale, sign = abs(lb), (1 if lb > 0 else -1)
+    while len(r) > db:
+        f, shift = sign * r[-1], len(r) - 1 - db
+        r = [scale * x for x in r]
+        for i, y in enumerate(b):
+            r[shift + i] -= f * y
+        while r and r[-1] == 0:
+            r.pop()
+    return _primitive([-x for x in r])
+
+
+def _derivative(p: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials that b divides, b primitive."""
+    r = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = r[k + len(b) - 1] // b[-1]
+        for i, y in enumerate(b):
+            r[k + i] -= q[k] * y
+    return q
+
+
+def _horner(p: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
 
 
 def rational_roots(coeffs) -> list[Fraction]:
-    """All rational roots of the polynomial, ascending (multiplicity collapsed)."""
+    """All rational roots of the polynomial, ascending (multiplicity collapsed).
+
+    The cost grows with the bit size of the coefficients.  The square-free
+    part h = p / gcd(p, p') of the integer polynomial, with leading
+    coefficient a, becomes the monic integer polynomial q(y) = a^(d-1) h(y/a),
+    whose rational roots are integers.  A Sturm sequence isolates the real
+    roots of q, bisecting on integers down to width 1, and the right end y of
+    each such interval is a root only if p(y/a) is exactly 0.
+    """
     cs = [Fraction(c) for c in coeffs]
     while cs and cs[-1] == 0:
         cs.pop()
@@ -255,12 +297,40 @@ def rational_roots(coeffs) -> list[Fraction]:
     while cs[0] == 0:
         cs.pop(0)
         roots.add(Fraction(0))
-    if len(cs) > 1:
-        ints, _ = _int_row(cs)
-        a0, an = abs(ints[0]), abs(ints[-1])
-        for p in _divisors(a0):
-            for q in _divisors(an):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if poly_eval(cs, cand) == 0:
-                        roots.add(cand)
+    if len(cs) == 1:
+        return sorted(roots)
+    p = _primitive(_int_row(cs)[0])
+    g, rem = p, _derivative(p)
+    while rem:  # Euclid's algorithm: g ends as gcd(p, p')
+        g, rem = rem, _neg_prem(g, rem)
+    h = _exact_quotient(p, _primitive(g)) if len(g) > 1 else p
+    if h[-1] < 0:
+        h = [-x for x in h]
+    a, d = h[-1], len(h) - 1
+    q = [c * a ** (d - 1 - i) for i, c in enumerate(h[:-1])] + [1]
+    chain = [q, _derivative(q)]
+    while len(chain[-1]) > 1:
+        chain.append(_neg_prem(chain[-2], chain[-1]))
+
+    def sign_changes(x: int) -> int:
+        signs = [v > 0 for v in (_horner(s, x) for s in chain) if v]
+        return sum(u != v for u, v in zip(signs, signs[1:]))
+
+    # Fujiwara: every root y of q has |y| <= 2 max_i |q_(d-i)|^(1/i)
+    bound = 2 << max((abs(c).bit_length() + d - i - 1) // (d - i)
+                     for i, c in enumerate(q[:-1]))
+    # V(lo) - V(hi) counts the distinct real roots in (lo, hi]
+    todo = [(-bound - 1, sign_changes(-bound - 1), bound, sign_changes(bound))]
+    while todo:
+        lo, v_lo, hi, v_hi = todo.pop()
+        if v_lo == v_hi:
+            continue
+        if hi - lo == 1:
+            cand = Fraction(hi, a)
+            if poly_eval(cs, cand) == 0:
+                roots.add(cand)
+            continue
+        mid = (lo + hi) // 2
+        v_mid = sign_changes(mid)
+        todo += [(lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)]
     return sorted(roots)

@@ -68,6 +68,16 @@ def test_rational_roots():
     assert linalg.rational_roots([F(-2), F(0), F(1)]) == []
 
 
+def test_rational_roots_of_61_bit_coefficients():
+    # (3t - 2^61 - 1)(t + 2^40 + 5)(t^2 + 7): exact roots, nothing sampled
+    coeffs = linalg.poly_mul(linalg.poly_mul([-(2 ** 61) - 1, 3], [2 ** 40 + 5, 1]),
+                             [7, 0, 1])
+    assert linalg.rational_roots(coeffs) == [-(2 ** 40) - 5, Fraction(2 ** 61 + 1, 3)]
+    assert linalg.rational_roots(linalg.poly_mul(coeffs, coeffs)) == \
+        [-(2 ** 40) - 5, Fraction(2 ** 61 + 1, 3)]
+    assert linalg.rational_roots([-(2 ** 61) - 1, 0, 3]) == []
+
+
 small = st.integers(min_value=-6, max_value=6)
 
 
