@@ -15,28 +15,21 @@ closing scalar t has no rational root, the module is reported as unresolved
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 
 from . import linalg
 from .rationals import format_rational
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+Columns = list[list[tuple[int, Fraction | int]]]  # nonzero (row, value) per column
 
 
 def _freeze(rows) -> Matrix:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-def _mat_vec(mat: Matrix, vec: list[Fraction]) -> list[Fraction]:
-    n = len(mat)
-    return [sum((mat[i][j] * vec[j] for j in range(n)), Fraction(0)) for i in range(n)]
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> list[list[Fraction]]:
-    n = len(a)
-    return [[sum((a[i][t] * b[t][j] for t in range(n)), Fraction(0))
-             for j in range(n)] for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -127,26 +120,62 @@ class _GradedMod:
     def dim(self) -> int:
         return len(self.parity)
 
+    @cached_property
+    def columns(self) -> Columns:
+        """The nonzero entries (row, value) of each column of Rt."""
+        return [[(i, row[j]) for i, row in enumerate(self.mat) if row[j]]
+                for j in range(self.dim)]
+
+    @cached_property
+    def int_columns(self) -> Columns:
+        """`columns` times the lcm of their denominators.  A nonzero multiple
+        of Rt has the same invariant subspaces."""
+        den = lcm(*(a.denominator for col in self.columns for _, a in col))
+        return [[(i, a.numerator * (den // a.denominator)) for i, a in col]
+                for col in self.columns]
+
 
 def _as_graded(hm: HModule) -> _GradedMod:
     return _GradedMod(hm.r, hm.mat_rt, hm.parity)
 
 
-def _cyclic_span(g: _GradedMod, seed: list[Fraction]) -> list[list[Fraction]]:
-    rows = [seed]
-    rr, pivots = linalg.rref(rows)
-    frontier = [seed]
-    while frontier:
-        new_frontier = []
-        for v in frontier:
-            img = _mat_vec(g.mat, v)
-            red = linalg.reduce_mod_span(rr, pivots, img)
-            if any(red):
-                rows.append(img)
-                rr, pivots = linalg.rref(rows)
-                new_frontier.append(img)
-        frontier = new_frontier
-    return rr
+def _apply(columns: Columns, vec: list) -> list:
+    """The matrix with these sparse columns times vec, over nonzero entries only."""
+    out = [0] * len(columns)
+    for x, col in zip(vec, columns):
+        if x:
+            for i, a in col:
+                out[i] += a * x
+    return out
+
+
+def _square(g: _GradedMod) -> Matrix:
+    """Rt^2: column j is Rt applied to column j of Rt."""
+    cols = [_apply(g.columns, [row[j] for row in g.mat]) for j in range(g.dim)]
+    return _freeze(zip(*cols))
+
+
+def _cyclic_span(g: _GradedMod, seed: list[int]) -> tuple[list[list[int]], list[int]]:
+    """Integer echelon rows and pivots of the Krylov span {v, Av, A^2 v, ...}.
+
+    Each new image is reduced modulo the rows found so far; a remainder of 0
+    means the span is invariant.  Rows stay sorted by pivot, so the pair is
+    an echelon form that `linalg.echelon_to_rref` accepts.
+    """
+    ech: list[list[int]] = []
+    pivots: list[int] = []
+    vec = seed
+    while True:
+        red = linalg.reduce_mod_echelon(ech, pivots, vec)
+        content = gcd(*red)
+        if not content:
+            return ech, pivots
+        red = [x // content for x in red]
+        pc = next(i for i, x in enumerate(red) if x)
+        k = bisect(pivots, pc)
+        ech.insert(k, red)
+        pivots.insert(k, pc)
+        vec = _apply(g.int_columns, red)
 
 
 def _vector_parities(g: _GradedMod, v: list[Fraction]) -> set[int]:
@@ -165,7 +194,7 @@ def _split_parity(g: _GradedMod, v: list[Fraction]) -> list[list[Fraction]]:
 def _is_invariant(g: _GradedMod, rows) -> bool:
     rr, pivots = linalg.rref(rows)
     for v in rr:
-        red = linalg.reduce_mod_span(rr, pivots, _mat_vec(g.mat, v))
+        red = linalg.reduce_mod_span(rr, pivots, _apply(g.columns, v))
         if any(red):
             return False
     return True
@@ -189,10 +218,11 @@ def _parity_restricted(g: _GradedMod, mat: Matrix, p: int):
 def _cyclic_piece(g: _GradedMod) -> list[list[Fraction]] | None:
     """A proper invariant span generated by one basis vector."""
     for i in range(g.dim):
-        seed = [Fraction(i == j) for j in range(g.dim)]
-        found = _proper(g, _cyclic_span(g, seed))
-        if found is not None and _is_invariant(g, found):
-            return found
+        ech, pivots = _cyclic_span(g, [int(i == j) for j in range(g.dim)])
+        if len(pivots) < g.dim:
+            found = linalg.echelon_to_rref(ech, pivots)
+            if _is_invariant(g, found):
+                return found
     return None
 
 
@@ -212,7 +242,7 @@ def _eigen_pair(g: _GradedMod, parities) -> list[list[Fraction]] | None:
     Only rational eigenvalues t != 0 are tried: t = 0 has an eigenvector
     exactly when Rt has a kernel, which `_kernel_piece` covers.
     """
-    sq = _freeze(_mat_mul(g.mat, g.mat))
+    sq = _square(g)
     for p in parities:
         idx, block = _parity_restricted(g, sq, p)
         if not idx:
@@ -226,7 +256,7 @@ def _eigen_pair(g: _GradedMod, parities) -> list[list[Fraction]] | None:
                 w = [Fraction(0)] * g.dim
                 for pos, val in zip(idx, small):
                     w[pos] = val
-                found = _proper(g, [w, _mat_vec(g.mat, w)])
+                found = _proper(g, [w, _apply(g.columns, w)])
                 if found is not None and _is_invariant(g, found):
                     return found
     return None
@@ -286,7 +316,7 @@ def _submodule(g: _GradedMod, rows) -> _GradedMod:
         parities.append(ps.pop())
     mat = []
     for row in rr:
-        mat.append(_coords_in(rr, _mat_vec(g.mat, row)))
+        mat.append(_coords_in(rr, _apply(g.columns, row)))
     # columns are images: transpose the coordinate lists
     d = len(rr)
     sub = [[mat[j][i] for j in range(d)] for i in range(d)]
@@ -300,7 +330,7 @@ def _quotient(g: _GradedMod, rows) -> _GradedMod:
     for col, i in enumerate(comp):
         e = [Fraction(0)] * g.dim
         e[i] = Fraction(1)
-        img = linalg.reduce_mod_span(rr, pivots, _mat_vec(g.mat, e))
+        img = linalg.reduce_mod_span(rr, pivots, _apply(g.columns, e))
         for rowpos, j in enumerate(comp):
             mat[rowpos][col] = img[j]
     return _GradedMod(g.r, _freeze(mat), tuple(g.parity[i] for i in comp))
@@ -310,7 +340,7 @@ def _leaf(g: _GradedMod) -> Constituent:
     if g.dim == 1:
         return Constituent("nu_r", 1, g.r)
     if g.dim == 2:
-        sq = _mat_mul(g.mat, g.mat)
+        sq = _square(g)
         lam = sq[0][0]
         if sq[0][1] == 0 and sq[1][0] == 0 and sq[1][1] == lam and lam != 0:
             return Constituent("nu_r_lambda", 2, g.r, lam)
