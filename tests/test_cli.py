@@ -138,6 +138,15 @@ def test_cartan_command(capsys):
     assert all(c["kind"] in ("nu_r", "nu_r_lambda") for c in data["constituents"])
 
 
+def test_cartan_60_bit_closing_coefficient(capsys):
+    # the root finder's cost grows with bit size, not with sqrt(c)
+    code, out, _ = run_cli(capsys, "cartan", "--n", "2", "--r", "0",
+                           "--c", "1000000000000000003")
+    assert code == 0
+    assert json.loads(out)["constituents"] == [
+        {"kind": "nu_r_lambda", "r": "0/1", "lambda": "1000000000000000003/1"}]
+
+
 def test_cartan_bad_c_length(capsys):
     code, _, err = run_cli(capsys, "cartan", "--n", "4", "--r", "0", "--c", "1")
     assert code == 2
@@ -230,6 +239,29 @@ def test_env_config(tmp_path, monkeypatch, capsys):
                            "--sweep", "--format", "json")
     assert code == 0
     json.loads(out)
+
+
+def test_env_config_defaults_per_file(tmp_path, monkeypatch, capsys):
+    # the parser is built once per configuration; each file keeps its defaults
+    out_path = tmp_path / "out.csv"
+    configs = [({"level_cap": 3, "output_format": "csv"}, "kind,", "3"),
+               ({"level_cap": 2}, "[", "2"),
+               ({"level_cap": 3, "output_format": "csv", "output_path": str(out_path)},
+                "", "3")]
+    for i, (payload, head, last_level) in enumerate(configs * 2):
+        cfg = tmp_path / f"cfg{i}.json"
+        cfg.write_text(json.dumps(payload))
+        monkeypatch.setenv("Z2REP_CONFIG", str(cfg))
+        code, out, _ = run_cli(capsys, "singular", "--kind", "mr", "--r", "1/2",
+                               "--sweep")
+        assert code == 0 and out.startswith(head)
+        if "output_path" in payload:
+            out = out_path.read_text()
+            out_path.unlink()
+        if head == "[":
+            assert json.loads(out)[-1]["level"] == int(last_level)
+        else:
+            assert out.strip().splitlines()[-1].split(",")[3] == last_level
 
 
 @pytest.mark.parametrize("payload", [
