@@ -272,6 +272,7 @@ def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
 
 
 def _horner(p: list[int], x: int) -> int:
+    """p(x) for an integer polynomial and point, without building a Fraction."""
     acc = 0
     for c in reversed(p):
         acc = acc * x + c
