@@ -27,7 +27,7 @@ from .submodule_quotient import ConsistencyError
 from .verma import VermaModule
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     level_cap: int = 16
     output_format: str = "json"
@@ -238,7 +238,9 @@ def cmd_cartan(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=8)
 def build_parser(config: RunConfig) -> argparse.ArgumentParser:
+    """The parser whose defaults come from config, built once per config."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"),
                         default=config.output_format, help="output format")
@@ -302,14 +304,6 @@ def build_parser(config: RunConfig) -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=8)
-def _parser_for(level_cap: int, output_format: str,
-                output_path: str | None) -> argparse.ArgumentParser:
-    """The parser for one configuration, built on first use.  The key is the
-    tuple of `RunConfig` fields, because `RunConfig` is not hashable."""
-    return build_parser(RunConfig(level_cap, output_format, output_path))
-
-
 def _attach_negative_values(argv: list[str]) -> list[str]:
     """Join an option and a following "-1/3" or "-6,0,5,0" into "--r=-1/3".
 
@@ -334,7 +328,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: bad {CONFIG_ENV}: {exc}", file=sys.stderr)
         return 2
-    parser = _parser_for(config.level_cap, config.output_format, config.output_path)
+    parser = build_parser(config)
     args = parser.parse_args(_attach_negative_values(
         sys.argv[1:] if argv is None else list(argv)))
     if getattr(args, "level_cap", 1) <= 0:
