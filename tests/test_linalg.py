@@ -68,6 +68,12 @@ def test_rational_roots():
     assert linalg.rational_roots([F(-2), F(0), F(1)]) == []
 
 
+def test_rational_roots_of_a_repeated_root():
+    # (t-1)^2 (t-3): the bisection evaluates at the double root 1 before it
+    # reaches 3, and a Sturm sequence counts right there only when square-free
+    assert linalg.rational_roots(linalg.poly_mul([1, -2, 1], [-3, 1])) == [F(1), F(3)]
+
+
 def test_rational_roots_of_61_bit_coefficients():
     # (3t - 2^61 - 1)(t + 2^40 + 5)(t^2 + 7): exact roots, nothing sampled
     coeffs = linalg.poly_mul(linalg.poly_mul([-(2 ** 61) - 1, 3], [2 ** 40 + 5, 1]),
