@@ -77,6 +77,21 @@ CASES = {
     "cartan_n9_split": ("cartan", "--n", "9", "--r", "4/9", "--c=0,-1001,129,9"),
     "cartan_n11_c32bit": ("cartan", "--n", "11", "--r", "0",
                           "--c=2147483659,-1,0,3,-4294967311"),
+    # the order of the constituents: q(t) = t (t + 3)^2 (t - 1), a repeated root
+    "cartan_n8_repeated_lambda": ("cartan", "--n", "8", "--r", "1/2",
+                                  "--c=0,9,-3,-5"),
+    # three rational roots and an irreducible quadratic, times t
+    "cartan_n12_three_lambda": ("cartan", "--n", "12", "--r", "2",
+                                "--c=0,12,7,-37/2,2/3,29/6"),
+    # an odd chain closing on t (t + 7)(t^2 - t + 2)
+    "cartan_n9_lambda_unresolved": ("cartan", "--n", "9", "--r=-1", "--c=0,-14,5,-6"),
+    # t^2 (t^2 - t + 2): one nu_r below the unresolved piece, three above
+    "cartan_n8_t2_unresolved": ("cartan", "--n", "8", "--r", "0", "--c=0,0,-2,1"),
+    # t (t^2 - 2)^2: one nu_r on either side of an 8-dimensional piece
+    "cartan_n10_t_unresolved8": ("cartan", "--n", "10", "--r", "3", "--c=0,-4,0,4,0"),
+    # (t^2 - 2)^2: the whole chain is one unresolved piece
+    "cartan_n8_unresolved8": ("cartan", "--n", "8", "--r", "1", "--c=-4,0,4,0"),
+    "cartan_n2_c0": ("cartan", "--n", "2", "--r", "5", "--c", "0"),
     "verify_algebra": ("verify-algebra",),
     "bracket_table": ("bracket-table",),
 }
