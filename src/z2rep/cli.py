@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import cartan_modules, graded_algebra, submodule_quotient
 from .rationals import format_rational, parse_rational
 from .singular_solver import find_singular, sectors_for_level
-from .submodule_quotient import ConsistencyError
+from .submodule_quotient import MAX_LEVEL, ConsistencyError
 from .verma import VermaModule
 
 
@@ -48,8 +48,9 @@ def load_run_config(environ=None) -> RunConfig:
         raise ValueError("the file must hold a JSON object")
     cfg = RunConfig(**{key: data[key] for key in ("level_cap", "output_format",
                                                   "output_path") if key in data})
-    if type(cfg.level_cap) is not int or cfg.level_cap <= 0:
-        raise ValueError(f"level_cap must be a positive integer, got {cfg.level_cap!r}")
+    if type(cfg.level_cap) is not int or not 0 < cfg.level_cap <= MAX_LEVEL:
+        raise ValueError(
+            f"level_cap must be an integer from 1 to {MAX_LEVEL}, got {cfg.level_cap!r}")
     if cfg.output_format not in ("json", "csv"):
         raise ValueError(f"unknown output format {cfg.output_format!r}")
     if "output_path" in data and not isinstance(cfg.output_path, str):
@@ -331,11 +332,11 @@ def main(argv=None) -> int:
     parser = build_parser(config)
     args = parser.parse_args(_attach_negative_values(
         sys.argv[1:] if argv is None else list(argv)))
-    if getattr(args, "level_cap", 1) <= 0:
-        print("error: --level-cap must be positive", file=sys.stderr)
+    if not 0 < getattr(args, "level_cap", 1) <= MAX_LEVEL:
+        print(f"error: --level-cap must be from 1 to {MAX_LEVEL}", file=sys.stderr)
         return 2
-    if (getattr(args, "max_level", None) or 0) < 0:
-        print("error: --max-level must be nonnegative", file=sys.stderr)
+    if not 0 <= (getattr(args, "max_level", None) or 0) <= MAX_LEVEL:
+        print(f"error: --max-level must be from 0 to {MAX_LEVEL}", file=sys.stderr)
         return 2
     try:
         return args.func(args)

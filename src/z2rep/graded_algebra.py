@@ -33,9 +33,6 @@ AD_WEIGHT: dict[str, int] = {
     "am": -1, "atm": -1, "Lm": -2, "Ltm": -2,
 }
 
-SECTORS: tuple[Degree, ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
 def degree_add(a: Degree, b: Degree) -> Degree:
     return ((a[0] + b[0]) % 2, (a[1] + b[1]) % 2)
 

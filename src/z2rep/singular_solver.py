@@ -386,10 +386,6 @@ def _sys_mu_nu_lambda(M: int, r: Fraction, lam: Fraction) -> _LinearSystem:
     return sys
 
 
-RECURRENCE_SYSTEMS = ("mu-nu", "alpha-beta", "rho-sigma", "gamma-delta",
-                      "mu-nu-lambda")
-
-
 def recurrence_solve(which: str, M: int, r,
                      lam=None) -> list[dict[str, list[Fraction]]]:
     """Solution space of one annihilation recurrence system.

@@ -27,6 +27,8 @@ from .singular_solver import closed_form, lowering_map, sectors_for_level
 from .verma import (Ket, VermaModule, Vector, act_word, action_rows,
                     enumerate_level, sector_kets)
 
+MAX_LEVEL = 200  # highest level a table, a sweep or a classification may reach
+
 
 class ConsistencyError(RuntimeError):
     """An internal cross-check that should be a theorem failed."""
@@ -369,6 +371,9 @@ def classify_module(module: VermaModule,
         # the two empty levels above it must be in the table; with one order,
         # at least one level above the singular level must be
         max_level = max(max_level, 2 * sum(orders) + 2)
+    if max_level > MAX_LEVEL:
+        raise ValueError(
+            f"classification needs level {max_level}, above the bound {MAX_LEVEL}")
     w = build_submodule(module, max_level, orders)
     per_level = _dims_table(w, max_level)
     dimension = None

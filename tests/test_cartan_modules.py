@@ -1,11 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from z2rep import linalg
-from z2rep.cartan_modules import (HModule, _cyclic_span, _freeze, _GradedMod,
-                                  build_h_module, classify, expected_c_length,
+from z2rep.cartan_modules import (HModule, build_h_module, classify, expected_c_length,
                                   find_invariant_subspace, t_polynomial)
 
 
@@ -169,60 +169,66 @@ def test_nu_r_lambda_squares_to_lambda():
     assert sq == [[lam, F(0)], [F(0), lam]]
 
 
-def _oracle_cyclic_span(mat, seed):
-    """The Krylov span {v, Av, A^2 v, ...} grown in Fractions, as RREF rows."""
-    rows = [seed]
-    rr, pivots = linalg.rref(rows)
-    frontier = [seed]
-    while frontier:
-        new_frontier = []
-        for v in frontier:
-            img = mat_vec(mat, v)
-            if any(linalg.reduce_mod_span(rr, pivots, img)):
-                rows.append(img)
-                rr, pivots = linalg.rref(rows)
-                new_frontier.append(img)
-        frontier = new_frontier
-    return rr
+# irreducible over Q: quadratics and cubics without a rational root
+IRREDUCIBLE = ([-2, 0, 1], [1, 0, 1], [2, -1, 1], [-2, 0, 0, 1], [1, -1, 0, 1])
 
 
-def _random_graded(rng, dim):
-    """A seeded random _GradedMod with rational entries, some of them zero.
+def _chain_from_factors(rng):
+    """A seeded chain whose q is a product of t^a, (t - lam)^m and irreducible
+    quadratics or cubics, some of them repeated.
 
-    Half of them flip parity as Rt does; the rest are unstructured.
+    Returns the chain, the nonzero roots with multiplicity, the degree of the
+    irreducible part and whether t divides q.
     """
-    parity = tuple(rng.randint(0, 1) for _ in range(dim))
-    flip = rng.random() < 0.5
-    density = rng.choice((0.2, 0.5, 1.0))
-    mat = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            if (not flip or parity[i] != parity[j]) and rng.random() < density:
-                mat[i][j] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-    return _GradedMod(Fraction(rng.randint(-5, 5), 3), _freeze(mat), parity)
+    n = rng.randint(1, 12)
+    deg = expected_c_length(n)
+    q, lams, irreducible, has_t = [F(1)], [], 0, False
+    while len(q) - 1 < deg:
+        room = deg - (len(q) - 1)
+        pick = rng.random()
+        if pick < 0.2:
+            f = [F(0), F(1)]
+        elif pick < 0.6 or room < 2:
+            lam = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+            f = [-lam, F(1)]
+        else:
+            f = [F(x) for x in rng.choice([g for g in IRREDUCIBLE if len(g) <= room + 1])]
+        for _ in range(rng.randint(1, room // (len(f) - 1))):
+            q = linalg.poly_mul(q, f)
+            if len(f) > 2:
+                irreducible += len(f) - 1
+            elif f[0]:
+                lams.append(-f[0])
+            else:
+                has_t = True
+    c = [-x for x in q[:-1]]
+    return build_h_module(n, Fraction(rng.randint(-5, 5), 3), c), lams, irreducible, has_t
 
 
-def test_cyclic_span_matches_fraction_oracle():
-    rng = random.Random(5)
-    for _ in range(150):
-        g = _random_graded(rng, rng.randint(1, 8))
-        seeds = [[int(i == j) for j in range(g.dim)] for i in range(g.dim)]
-        seeds.append([rng.randint(-4, 4) for _ in range(g.dim)])
-        for seed in seeds:
-            if any(seed):
-                assert linalg.echelon_to_rref(*_cyclic_span(g, seed)) == \
-                    _oracle_cyclic_span(g.mat, seed)
-
-
-def test_cyclic_span_of_chain_modules_matches_fraction_oracle():
-    rng = random.Random(6)
-    for n in range(2, 13):
-        for _ in range(4):
-            c = [Fraction(rng.randint(-50, 50), rng.randint(1, 9))
-                 for _ in range(expected_c_length(n))]
-            hm = build_h_module(n, 0, c)
-            g = _GradedMod(hm.r, hm.mat_rt, hm.parity)
-            for i in range(n):
-                seed = [int(i == j) for j in range(n)]
-                assert linalg.echelon_to_rref(*_cyclic_span(g, seed)) == \
-                    _oracle_cyclic_span(g.mat, seed)
+def test_constituents_follow_the_factors_of_q():
+    rng = random.Random(17)
+    for _ in range(400):
+        hm, lams, irreducible, has_t = _chain_from_factors(rng)
+        n, rest = hm.n, 2 * irreducible
+        rep = classify(hm)
+        expected = Counter([("nu_r_lambda", 2, lam) for lam in lams]
+                           + [("nu_r", 1, None)] * (n - 2 * len(lams) - rest)
+                           + [("unresolved", rest, None)] * bool(rest))
+        assert Counter((p.kind, p.dim, p.lam) for p in rep.constituents) == expected
+        assert all(p.r == hm.r for p in rep.constituents)
+        assert rep.certified == (not rest)
+        if n % 2:
+            want = n - 1 if n > 1 else None
+        elif lams and n > 2:
+            want = 2
+        else:
+            want = 1 if has_t else None
+        rows = find_invariant_subspace(hm)
+        if want is None:
+            assert rows is None
+        else:
+            assert len(rows) == want and is_invariant(hm, rows)
+        if want == 2 and n % 2 == 0:  # the pair {w, Rt w} of the least lambda
+            lam = min(lams)
+            for row in rows:
+                assert mat_vec(hm.mat_rt, mat_vec(hm.mat_rt, row)) == [lam * x for x in row]

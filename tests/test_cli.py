@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -200,6 +201,29 @@ def test_negative_max_level_rejected(argv, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert "--max-level" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("dims", "--kind", "mr", "--r", "-16", "--max-level", "100000"),
+    ("singular", "--kind", "mr", "--r", "1/3", "--sweep", "--level-cap", "100000"),
+    ("classify", "--kind", "mr", "--r", "-1000"),  # its cap is raised to 2002
+])
+def test_levels_above_the_bound_rejected_at_once(argv, capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "200" in err
+    assert time.perf_counter() - start < 1
+
+
+def test_env_config_level_cap_above_the_bound(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"level_cap": 100000}))
+    monkeypatch.setenv("Z2REP_CONFIG", str(cfg))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "singular", "--kind", "mr", "--r", "1/3", "--sweep")
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad Z2REP_CONFIG")
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("joined, split", [
