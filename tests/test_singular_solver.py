@@ -254,3 +254,123 @@ def test_unknown_inputs_rejected():
         recurrence_solve("bogus", 1, 0)
     with pytest.raises(ValueError):
         recurrence_solve("mu-nu-lambda", 1, 0)  # lambda missing
+
+
+# --- differential check against the closed forms as first written -----------
+# _first_closed_form and _first_prediction are closed_form and
+# applicable_closed_form as they were written before the orders and the ket
+# layouts each got one home; the engine must agree with them exactly.
+
+def _first_closed_form(module, which, M):
+    from math import comb
+    if M < 0:
+        raise ValueError("M must be nonnegative")
+    r = module.r
+    if module.kind == "Mr":
+        if r + 2 * M != 0:
+            raise ConstraintError("r + 2M != 0")
+    else:
+        if which == "chi11":
+            raise ConstraintError("no (1,1)-sector closed form exists for MrLambda")
+        if (r + 2 * M) ** 2 != module.lam:
+            raise ConstraintError("(r + 2M)^2 != lambda")
+    terms = {}
+    if module.kind == "Mr":
+        if which == "chi01":
+            for j in range(M // 2 + 1):
+                terms[Ket(0, 2 * (M - 2 * j) + 1, 2 * j)] = Fraction(4 ** j * comb(M, 2 * j))
+            for j in range((M - 1) // 2 + 1):
+                terms[Ket(1, 2 * (M - 2 * j - 1), 2 * j + 1)] = \
+                    Fraction(-2 * 4 ** j * comb(M, 2 * j + 1))
+        elif which == "chi10":
+            for j in range((M - 1) // 2 + 1):
+                terms[Ket(0, 2 * (M - 2 * j - 1) + 1, 2 * j + 1)] = \
+                    Fraction(-2 * 4 ** j * comb(M, 2 * j + 1))
+            for j in range(M // 2 + 1):
+                terms[Ket(1, 2 * (M - 2 * j), 2 * j)] = Fraction(4 ** j * comb(M, 2 * j))
+        elif which == "chi11":
+            for j in range(M + 1):
+                w = Fraction((-4) ** j * comb(M, j))
+                terms[Ket(0, 4 * (M - j), 2 * j + 1)] = -2 * w
+                terms[Ket(1, 4 * (M - j) + 1, 2 * j)] = w
+        else:
+            raise ValueError(f"unknown closed form {which!r}")
+    else:
+        s = r + 2 * M
+        for j in range(M + 1):
+            w = Fraction((-2) ** j * comb(M, j))
+            if which == "chi01":
+                terms[Ket(0, 2 * (M - j) + 1, j, j % 2)] = w * s ** ((j + 1) % 2)
+                terms[Ket(1, 2 * (M - j), j, (j + 1) % 2)] = w * s ** (j % 2)
+            elif which == "chi10":
+                terms[Ket(0, 2 * (M - j) + 1, j, (j + 1) % 2)] = w * s ** (j % 2)
+                terms[Ket(1, 2 * (M - j), j, j % 2)] = w * s ** ((j + 1) % 2)
+            else:
+                raise ValueError(f"unknown closed form {which!r}")
+    return Vector(module, terms)
+
+
+def _first_prediction(module, level, sector):
+    if level % 2 == 1:
+        M = (level - 1) // 2
+        ok = (module.r + 2 * M == 0 if module.kind == "Mr"
+              else (module.r + 2 * M) ** 2 == module.lam)
+        if ok and sector == (0, 1):
+            return "chi01", M
+        if ok and sector == (1, 0):
+            return "chi10", M
+        return None
+    if module.kind == "Mr" and sector == (1, 1) and level % 4 == 2:
+        M = (level - 2) // 4
+        if module.r + 2 * M == 0:
+            return "chi11", M
+    return None
+
+
+NON_INTEGER_R = (Fraction(1, 3), Fraction(-7, 2), Fraction(5, 4), Fraction(-9, 5))
+
+
+def _singular_modules():
+    """(module, M) for Mr at M = 0..16, MrLambda at M = 0..12 and both orders
+    of r = -5, lambda = 9."""
+    out = [(mr(-2 * M), M) for M in range(17)]
+    out += [(mrl(r, (r + 2 * M) ** 2), M) for r in NON_INTEGER_R for M in range(13)]
+    out += [(mrl(-5, 9), 1), (mrl(-5, 9), 4)]
+    return out
+
+
+def _call(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+def test_closed_forms_match_the_first_written_ones():
+    for module, M in _singular_modules():
+        forms = ("chi01", "chi10", "chi11") if module.kind == "Mr" else ("chi01", "chi10")
+        for which in forms:
+            new, old = closed_form(module, which, M), _first_closed_form(module, which, M)
+            assert new == old and not new.is_zero(), (module, which, M)
+
+
+def test_closed_form_errors_match_the_first_written_ones():
+    modules = [m for m, _ in _singular_modules()]
+    modules += [mr(Fraction(1, 3)), mr(3), mr(-3), mrl(Fraction(1, 3), 2), mrl(0, -4)]
+    for module in modules:
+        for which in ("chi01", "chi10", "chi11", "chi99"):
+            for M in range(-1, 18):
+                new = _call(closed_form, module, which, M)
+                old = _call(_first_closed_form, module, which, M)
+                assert new == old, (module, which, M)
+
+
+def test_predictions_match_the_first_written_rule():
+    modules = [m for m, _ in _singular_modules()]
+    modules += [mr(Fraction(1, 3)), mr(3), mr(-3), mrl(Fraction(1, 3), 2), mrl(0, -4)]
+    sectors = ((0, 0), (0, 1), (1, 0), (1, 1))
+    for module in modules:
+        for level in range(1, 41):
+            for sector in sectors:
+                assert (applicable_closed_form(module, level, sector)
+                        == _first_prediction(module, level, sector)), (module, level, sector)
