@@ -105,6 +105,9 @@ def t_polynomial(n: int, c) -> list[Fraction]:
     Rt has characteristic polynomial q(s^2) on an even chain, s q(s^2) on an
     odd one.
     """
+    if len(c) != expected_c_length(n):
+        raise ValueError(
+            f"need {expected_c_length(n)} closing coefficients for n={n}, got {len(c)}")
     return [-Fraction(x) for x in c] + [Fraction(1)]
 
 

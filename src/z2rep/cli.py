@@ -332,12 +332,12 @@ def main(argv=None) -> int:
     parser = build_parser(config)
     args = parser.parse_args(_attach_negative_values(
         sys.argv[1:] if argv is None else list(argv)))
-    if not 0 < getattr(args, "level_cap", 1) <= MAX_LEVEL:
-        print(f"error: --level-cap must be from 1 to {MAX_LEVEL}", file=sys.stderr)
-        return 2
-    if not 0 <= (getattr(args, "max_level", None) or 0) <= MAX_LEVEL:
-        print(f"error: --max-level must be from 0 to {MAX_LEVEL}", file=sys.stderr)
-        return 2
+    for name, low in (("level_cap", 1), ("max_level", 0), ("level", 1)):
+        value = getattr(args, name, None)
+        if value is not None and not low <= value <= MAX_LEVEL:
+            flag = "--" + name.replace("_", "-")
+            print(f"error: {flag} must be from {low} to {MAX_LEVEL}", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except ConsistencyError as exc:

@@ -2,15 +2,19 @@
 
 A singular vector is a nonzero weight vector of positive level annihilated by
 both lowering generators am and atm (annihilation by Lm and Ltm follows).
-Three independent routes are implemented and cross-checked:
+`detect_singular_orders` is the one place the existence condition is solved:
+the orders M with r + 2M = 0 (Mr) or (r + 2M)^2 = lambda (MrLambda).  The
+closed forms, the predictions of `find_singular` and the submodule W all read
+their orders from it.  Three independent routes are implemented and
+cross-checked:
 
 * `find_singular` — assemble the exact matrix of (am, atm) restricted to one
   degree sector of one level and compute its null space by fraction-free
   elimination;
 * `closed_form` — evaluate the explicit binomial-weighted combinations that
-  exist at level 2M+1 (odd sectors; constraint r + 2M = 0 for the
-  one-dimensional family, (r + 2M)^2 = lambda for the two-dimensional one)
-  and at level 2(2M+1) in the (1,1) sector of the one-dimensional family;
+  exist at level 2M+1 (odd sectors) and at level 2(2M+1) in the (1,1) sector
+  of the one-dimensional family, placed on the kets that
+  `closed_form_family_kets` lists for each coefficient family;
 * `recurrence_solve` — set up the raw linear recurrences the annihilation
   conditions impose on the ansatz coefficients and solve them as an exact
   linear system, re-deriving the closed forms instead of evaluating them.
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 from . import linalg
 from .graded_algebra import DEGREE, Degree, degree_add
@@ -40,54 +44,95 @@ def sectors_for_level(n: int) -> tuple[Degree, ...]:
     return EVEN_SECTORS if n % 2 == 0 else ODD_SECTORS
 
 
+def detect_singular_orders(module: VermaModule) -> list[int]:
+    """Every M >= 0 whose existence constraint the module parameters meet, ascending.
+
+    The singular pair chi01, chi10 sits at level 2M+1 exactly when r + 2M = 0
+    (Mr) or (r + 2M)^2 = lambda (MrLambda).  Solved in closed form: M = -r/2
+    for Mr, and M = (+-sqrt(lambda) - r)/2 for MrLambda, where the square
+    root is rational only when the numerator and the denominator of lambda
+    are both perfect squares.
+    """
+    if module.kind == "Mr":
+        roots = [Fraction(0)]
+    else:
+        lam = module.lam
+        if lam < 0:
+            return []
+        num, den = isqrt(lam.numerator), isqrt(lam.denominator)
+        if num * num != lam.numerator or den * den != lam.denominator:
+            return []
+        roots = [Fraction(-num, den), Fraction(num, den)]
+    out = []
+    for root in roots:
+        two_m = root - module.r
+        if two_m >= 0 and two_m.denominator == 1 and two_m.numerator % 2 == 0:
+            out.append(two_m.numerator // 2)
+    return out
+
+
+# the coefficient families of each closed form, named after the recurrence
+# system that re-derives them (MrLambda chi10 has no system of its own)
+_FORM_LAYOUT = {("Mr", "chi01"): "mu-nu", ("Mr", "chi10"): "alpha-beta",
+                ("Mr", "chi11"): "gamma-delta", ("MrLambda", "chi01"): "mu-nu-lambda",
+                ("MrLambda", "chi10"): "alpha-beta-lambda"}
+
+
+def closed_form_family_kets(which: str, M: int) -> dict[str, list[Ket]]:
+    """Ket positions of each coefficient family of a closed form at order M."""
+    if which == "mu-nu":
+        return {"mu": [Ket(0, 2 * (M - 2 * j) + 1, 2 * j) for j in range(M // 2 + 1)],
+                "nu": [Ket(1, 2 * (M - 2 * j - 1), 2 * j + 1)
+                       for j in range((M - 1) // 2 + 1)]}
+    if which == "alpha-beta":
+        return {"alpha": [Ket(0, 2 * (M - 2 * j - 1) + 1, 2 * j + 1)
+                          for j in range((M - 1) // 2 + 1)],
+                "beta": [Ket(1, 2 * (M - 2 * j), 2 * j) for j in range(M // 2 + 1)]}
+    if which == "gamma-delta":
+        return {"gamma": [Ket(0, 4 * (M - j), 2 * j + 1) for j in range(M + 1)],
+                "delta": [Ket(1, 4 * (M - j) + 1, 2 * j) for j in range(M + 1)]}
+    if which == "mu-nu-lambda":
+        return {"mu": [Ket(0, 2 * (M - j) + 1, j, j % 2) for j in range(M + 1)],
+                "nu": [Ket(1, 2 * (M - j), j, (j + 1) % 2) for j in range(M + 1)]}
+    if which == "alpha-beta-lambda":
+        return {"alpha": [Ket(0, 2 * (M - j) + 1, j, (j + 1) % 2) for j in range(M + 1)],
+                "beta": [Ket(1, 2 * (M - j), j, j % 2) for j in range(M + 1)]}
+    raise ValueError(f"no closed form backs {which!r}")
+
+
 def closed_form(module: VermaModule, which: str, M: int) -> Vector:
-    """Explicit singular vector chi01/chi10 (level 2M+1) or chi11 (level 2(2M+1))."""
+    """Explicit singular vector chi01/chi10 (level 2M+1) or chi11 (level 2(2M+1)).
+
+    chi01 and chi10 carry the same two coefficient lists on swapped families:
+    binomials of even and of odd index for Mr, and binomials weighted by
+    s = r + 2M on alternate terms for MrLambda.
+    """
     if M < 0:
         raise ValueError("M must be nonnegative")
-    r = module.r
-    if module.kind == "Mr":
-        if r + 2 * M != 0:
-            raise ConstraintError(f"constraint violated: r + 2M = {r + 2 * M} != 0")
+    if module.kind == "MrLambda" and which == "chi11":
+        raise ConstraintError("no (1,1)-sector closed form exists for MrLambda")
+    if M not in detect_singular_orders(module):
+        raise ConstraintError(f"constraint violated: the module has no singular "
+                              f"pair of order {M}")
+    if (module.kind, which) not in _FORM_LAYOUT:
+        raise ValueError(f"unknown closed form {which!r}")
+    if which == "chi11":
+        w = [Fraction((-4) ** j * comb(M, j)) for j in range(M + 1)]
+        lists = [[-2 * x for x in w], w]
+    elif module.kind == "Mr":
+        lists = [[Fraction(4 ** j * comb(M, 2 * j)) for j in range(M // 2 + 1)],
+                 [Fraction(-2 * 4 ** j * comb(M, 2 * j + 1))
+                  for j in range((M - 1) // 2 + 1)]]
     else:
-        if which == "chi11":
-            raise ConstraintError("no (1,1)-sector closed form exists for MrLambda")
-        if (r + 2 * M) ** 2 != module.lam:
-            raise ConstraintError(
-                f"constraint violated: (r + 2M)^2 = {(r + 2 * M) ** 2} != lambda")
-    terms: dict[Ket, Fraction] = {}
-    if module.kind == "Mr":
-        if which == "chi01":
-            for j in range(M // 2 + 1):
-                terms[Ket(0, 2 * (M - 2 * j) + 1, 2 * j)] = Fraction(4 ** j * comb(M, 2 * j))
-            for j in range((M - 1) // 2 + 1):
-                terms[Ket(1, 2 * (M - 2 * j - 1), 2 * j + 1)] = \
-                    Fraction(-2 * 4 ** j * comb(M, 2 * j + 1))
-        elif which == "chi10":
-            for j in range((M - 1) // 2 + 1):
-                terms[Ket(0, 2 * (M - 2 * j - 1) + 1, 2 * j + 1)] = \
-                    Fraction(-2 * 4 ** j * comb(M, 2 * j + 1))
-            for j in range(M // 2 + 1):
-                terms[Ket(1, 2 * (M - 2 * j), 2 * j)] = Fraction(4 ** j * comb(M, 2 * j))
-        elif which == "chi11":
-            for j in range(M + 1):
-                w = Fraction((-4) ** j * comb(M, j))
-                terms[Ket(0, 4 * (M - j), 2 * j + 1)] = -2 * w
-                terms[Ket(1, 4 * (M - j) + 1, 2 * j)] = w
-        else:
-            raise ValueError(f"unknown closed form {which!r}")
-    else:
-        s = r + 2 * M
-        for j in range(M + 1):
-            w = Fraction((-2) ** j * comb(M, j))
-            if which == "chi01":
-                terms[Ket(0, 2 * (M - j) + 1, j, j % 2)] = w * s ** ((j + 1) % 2)
-                terms[Ket(1, 2 * (M - j), j, (j + 1) % 2)] = w * s ** (j % 2)
-            elif which == "chi10":
-                terms[Ket(0, 2 * (M - j) + 1, j, (j + 1) % 2)] = w * s ** (j % 2)
-                terms[Ket(1, 2 * (M - j), j, j % 2)] = w * s ** ((j + 1) % 2)
-            else:
-                raise ValueError(f"unknown closed form {which!r}")
-    return Vector(module, terms)
+        s = module.r + 2 * M
+        w = [Fraction((-2) ** j * comb(M, j)) for j in range(M + 1)]
+        lists = [[x * s ** ((j + 1) % 2) for j, x in enumerate(w)],
+                 [x * s ** (j % 2) for j, x in enumerate(w)]]
+    if which == "chi10":
+        lists.reverse()
+    families = closed_form_family_kets(_FORM_LAYOUT[module.kind, which], M).values()
+    return Vector(module, {ket: c for kets, coeffs in zip(families, lists)
+                           for ket, c in zip(kets, coeffs)})
 
 
 def applicable_closed_form(module: VermaModule, level: int,
@@ -95,18 +140,12 @@ def applicable_closed_form(module: VermaModule, level: int,
     """Which closed form (if any) the theory predicts at this level and sector."""
     if level % 2 == 1:
         M = (level - 1) // 2
-        ok = (module.r + 2 * M == 0 if module.kind == "Mr"
-              else (module.r + 2 * M) ** 2 == module.lam)
-        if ok and sector == (0, 1):
-            return "chi01", M
-        if ok and sector == (1, 0):
-            return "chi10", M
-        return None
-    if module.kind == "Mr" and sector == (1, 1) and level % 4 == 2:
+        which = {(0, 1): "chi01", (1, 0): "chi10"}.get(sector)
+    else:
         M = (level - 2) // 4
-        if module.r + 2 * M == 0:
-            return "chi11", M
-    return None
+        which = ("chi11" if module.kind == "Mr" and sector == (1, 1) and level % 4 == 2
+                 else None)
+    return (which, M) if which and M in detect_singular_orders(module) else None
 
 
 def proportionality(w: Vector, v: Vector) -> Fraction | None:
@@ -411,23 +450,3 @@ def recurrence_solve(which: str, M: int, r,
     else:
         raise ValueError(f"unknown recurrence system {which!r}")
     return sys.solutions()
-
-
-# ket positions of each coefficient family inside the closed forms, used to
-# cross-check recurrence solutions against closed_form output
-def closed_form_family_kets(which: str, M: int) -> dict[str, list[Ket]]:
-    if which == "mu-nu":
-        return {"mu": [Ket(0, 2 * (M - 2 * j) + 1, 2 * j) for j in range(M // 2 + 1)],
-                "nu": [Ket(1, 2 * (M - 2 * j - 1), 2 * j + 1)
-                       for j in range((M - 1) // 2 + 1)]}
-    if which == "alpha-beta":
-        return {"alpha": [Ket(0, 2 * (M - 2 * j - 1) + 1, 2 * j + 1)
-                          for j in range((M - 1) // 2 + 1)],
-                "beta": [Ket(1, 2 * (M - 2 * j), 2 * j) for j in range(M // 2 + 1)]}
-    if which == "gamma-delta":
-        return {"gamma": [Ket(0, 4 * (M - j), 2 * j + 1) for j in range(M + 1)],
-                "delta": [Ket(1, 4 * (M - j) + 1, 2 * j) for j in range(M + 1)]}
-    if which == "mu-nu-lambda":
-        return {"mu": [Ket(0, 2 * (M - j) + 1, j, j % 2) for j in range(M + 1)],
-                "nu": [Ket(1, 2 * (M - j), j, (j + 1) % 2) for j in range(M + 1)]}
-    raise ValueError(f"no closed form backs {which!r}")

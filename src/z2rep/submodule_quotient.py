@@ -1,11 +1,13 @@
 """Maximal invariant submodule W, quotient dimensions, and module classification.
 
 W is generated from the two singular vectors chi01, chi10 at level 2M+1 by
-the raising generators.  Its level-(2M+1+q) slice has the explicit spanning
-family built from words in ap and atp applied to the two singular vectors;
-independently, the same slice is computed as a bare span (level by level,
-one Z2xZ2 sector at a time, reducing integer rows by exact rank), which never
-assumes the dimension formula.
+the raising generators, for every order M that
+`singular_solver.detect_singular_orders` solves (re-exported here).  Its
+level-(2M+1+q) slice has the explicit spanning family built from words in ap
+and atp applied to the two singular vectors; independently, the same slice
+is computed as a bare span (level by level, one Z2xZ2 sector at a time,
+reducing integer rows by exact rank), which never assumes the dimension
+formula.
 
 For the one-dimensional family the quotient truncates: dim W saturates the
 whole weight space beyond offset q = 2M, which is where the per-level
@@ -18,12 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt, lcm
+from math import comb, lcm
 
 from . import linalg
 from .graded_algebra import DEGREE, Degree, degree_add
 from .rationals import format_rational
-from .singular_solver import closed_form, lowering_map, sectors_for_level
+from .singular_solver import (closed_form, detect_singular_orders, lowering_map,
+                              sectors_for_level)
 from .verma import (Ket, VermaModule, Vector, act_word, action_rows,
                     enumerate_level, sector_kets)
 
@@ -36,32 +39,6 @@ class ConsistencyError(RuntimeError):
 
 def singular_pair(module: VermaModule, M: int) -> tuple[Vector, Vector]:
     return closed_form(module, "chi01", M), closed_form(module, "chi10", M)
-
-
-def detect_singular_orders(module: VermaModule) -> list[int]:
-    """Every M >= 0 whose existence constraint the module parameters meet, ascending.
-
-    Solved in closed form: r + 2M = 0 gives M = -r/2 for Mr, and
-    (r + 2M)^2 = lambda gives M = (+-sqrt(lambda) - r)/2 for MrLambda, where
-    the square root is rational only when the numerator and the denominator
-    of lambda are both perfect squares.
-    """
-    if module.kind == "Mr":
-        roots = [Fraction(0)]
-    else:
-        lam = module.lam
-        if lam < 0:
-            return []
-        num, den = isqrt(lam.numerator), isqrt(lam.denominator)
-        if num * num != lam.numerator or den * den != lam.denominator:
-            return []
-        roots = [Fraction(-num, den), Fraction(num, den)]
-    out = []
-    for root in roots:
-        two_m = root - module.r
-        if two_m >= 0 and two_m.denominator == 1 and two_m.numerator % 2 == 0:
-            out.append(two_m.numerator // 2)
-    return out
 
 
 def verma_dim(module: VermaModule, n: int) -> int:
@@ -356,21 +333,17 @@ def classify_module(module: VermaModule,
     else:
         case = "iv" if orders else "iii"
     M = orders[0] if orders else None
-    if max_level is None:
-        if case == "ii":
-            max_level = 2 * (2 * M + 1)
-        elif case == "iv":
-            max_level = 2 * M + 1 + 8
-        else:
-            max_level = 16
+    # the floor puts in the table one level past the top 4M+1 of a case-ii
+    # quotient, the two empty levels past the top 2(M1 + M2) of a case-iv
+    # quotient with two orders M1 < M2, and with one order at least one level
+    # past the singular level
     if case == "ii":
-        support = 4 * M + 1
-        max_level = max(max_level, support + 1)
+        floor, default = 4 * M + 2, 4 * M + 2
     elif case == "iv":
-        # with two orders M1 < M2 the quotient ends at level 2(M1 + M2), and
-        # the two empty levels above it must be in the table; with one order,
-        # at least one level above the singular level must be
-        max_level = max(max_level, 2 * sum(orders) + 2)
+        floor, default = 2 * sum(orders) + 2, 2 * M + 9
+    else:
+        floor, default = 0, 16
+    max_level = max(floor, default if max_level is None else max_level)
     if max_level > MAX_LEVEL:
         raise ValueError(
             f"classification needs level {max_level}, above the bound {MAX_LEVEL}")
@@ -379,6 +352,7 @@ def classify_module(module: VermaModule,
     dimension = None
     checked = False
     if case == "ii":
+        support = 4 * M + 1
         total = sum(row["quotient_dim"] for row in per_level)
         if total != (2 * M + 1) ** 2:
             raise ConsistencyError(

@@ -95,8 +95,9 @@ def test_even_chain_closing_scalar_route():
 
 
 def test_parity_blocks_of_rt_squared_have_closing_polynomial():
-    # the even-chain search takes its eigen pairs from the even block alone;
-    # that is complete because both blocks share the closing polynomial
+    # both parity blocks of Rt^2 have the closing polynomial q as their
+    # characteristic polynomial; classify and find_invariant_subspace rest on
+    # this identity
     rng = random.Random(11)
     for n in range(2, 13, 2):
         grid = [[F(0)] * (n // 2)]
@@ -232,3 +233,11 @@ def test_constituents_follow_the_factors_of_q():
             lam = min(lams)
             for row in rows:
                 assert mat_vec(hm.mat_rt, mat_vec(hm.mat_rt, row)) == [lam * x for x in row]
+
+
+def test_t_polynomial_checks_the_length_of_c():
+    assert t_polynomial(5, [1, 2]) == [F(-1), F(-2), F(1)]
+    assert t_polynomial(1, []) == [F(1)]
+    for n, c in ((4, [0, 1, 2]), (4, [0]), (5, [1]), (1, [0]), (12, [1] * 5)):
+        with pytest.raises(ValueError):
+            t_polynomial(n, c)

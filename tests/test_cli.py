@@ -207,6 +207,7 @@ def test_negative_max_level_rejected(argv, capsys):
     ("dims", "--kind", "mr", "--r", "-16", "--max-level", "100000"),
     ("singular", "--kind", "mr", "--r", "1/3", "--sweep", "--level-cap", "100000"),
     ("classify", "--kind", "mr", "--r", "-1000"),  # its cap is raised to 2002
+    ("singular", "--kind", "mr", "--r", "1/3", "--level", "100000"),
 ])
 def test_levels_above_the_bound_rejected_at_once(argv, capsys):
     start = time.perf_counter()

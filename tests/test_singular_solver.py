@@ -374,3 +374,10 @@ def test_predictions_match_the_first_written_rule():
             for sector in sectors:
                 assert (applicable_closed_form(module, level, sector)
                         == _first_prediction(module, level, sector)), (module, level, sector)
+
+
+def test_singular_orders_are_solved_in_one_place():
+    from z2rep import singular_solver, submodule_quotient
+    assert (submodule_quotient.detect_singular_orders
+            is singular_solver.detect_singular_orders)
+    assert singular_solver.detect_singular_orders.__module__ == "z2rep.singular_solver"
