@@ -338,7 +338,7 @@ def classify_module(module: VermaModule,
     # quotient with two orders M1 < M2, and with one order at least one level
     # past the singular level
     if case == "ii":
-        floor, default = 4 * M + 2, 4 * M + 2
+        floor = default = 4 * M + 2
     elif case == "iv":
         floor, default = 2 * sum(orders) + 2, 2 * M + 9
     else:

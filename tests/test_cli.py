@@ -216,6 +216,13 @@ def test_levels_above_the_bound_rejected_at_once(argv, capsys):
     assert time.perf_counter() - start < 1
 
 
+def test_lowest_admitted_levels(capsys):
+    code, out, _ = run_cli(capsys, "dims", "--kind", "mr", "--r", "1", "--max-level", "0")
+    assert code == 0 and [row["level"] for row in json.loads(out)] == [0]
+    code, _, err = run_cli(capsys, "singular", "--kind", "mr", "--r", "1", "--level", "0")
+    assert code == 2 and "--level must be from 1 to 200" in err
+
+
 def test_env_config_level_cap_above_the_bound(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"level_cap": 100000}))

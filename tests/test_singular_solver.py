@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -262,7 +263,6 @@ def test_unknown_inputs_rejected():
 # layouts each got one home; the engine must agree with them exactly.
 
 def _first_closed_form(module, which, M):
-    from math import comb
     if M < 0:
         raise ValueError("M must be nonnegative")
     r = module.r
