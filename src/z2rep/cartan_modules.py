@@ -120,25 +120,25 @@ def _deflate(q: list[Fraction], lam: Fraction) -> list[Fraction]:
 
 
 def find_invariant_subspace(hm: HModule) -> list[list[Fraction]] | None:
-    """RREF basis of the bottom piece of the series that `classify` lists.
+    """RREF basis of a proper invariant subspace defined over Q.
 
     An odd chain above dimension one has the image of Rt, the span of the
-    tail vectors.  An even chain above dimension two has ker(Rt^2 - lambda)
-    = {w, Rt w} for the least nonzero rational root lambda of q; failing
-    that, ker Rt when t divides q.  None means no invariant subspace exists
-    over Q (the module may still split over an extension).
+    tail vectors: an invariant subspace of dimension n - 1 with a nu_r on
+    top, not in general the bottom piece of the series.  An even chain has
+    the bottom piece of the series that `classify` lists: ker(Rt^2 - lambda)
+    = {w, Rt w} when a nu_r_lambda comes first and n > 2, ker Rt when a nu_r
+    does.  None means no invariant subspace exists over Q (the module may
+    still split over an extension).
     """
     n, rt = hm.n, hm.mat_rt
     if n % 2:
         return linalg.rref(list(zip(*rt)))[0] if n > 1 else None
-    q = t_polynomial(n, hm.c)
-    lams = [lam for lam in linalg.rational_roots(q) if lam]
-    if lams and n > 2:
-        lam = lams[0]
-        shifted = [[sum(rt[i][k] * rt[k][j] for k in range(n)) - (lam if i == j else 0)
-                    for j in range(n)] for i in range(n)]
+    first = classify(hm).constituents[0]
+    if first.kind == "nu_r_lambda" and n > 2:
+        shifted = [[sum(rt[i][k] * rt[k][j] for k in range(n))
+                    - (first.lam if i == j else 0) for j in range(n)] for i in range(n)]
         return linalg.nullspace(shifted, n)
-    if q[0] == 0:
+    if first.kind == "nu_r":
         return linalg.nullspace(rt, n)
     return None
 

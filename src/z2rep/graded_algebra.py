@@ -163,22 +163,16 @@ def bracket(x: Element, y: Element, table: Table | None = None) -> Element:
     return out
 
 
-def bracket_gens(x: str, y: str, table: Table | None = None) -> Element:
-    tbl = STRUCTURE_TABLE if table is None else table
-    return tbl[(x, y)]
-
-
-def mutated_table(overrides: dict[tuple[str, str], Element],
-                  antisymmetrize: bool = True) -> Table:
+def mutated_table(overrides: dict[tuple[str, str], Element]) -> Table:
     """Copy of the structure table with entries replaced (for failure-injection).
 
-    With antisymmetrize=True the reverse orientation is kept consistent, so
-    the damage shows up in the Jacobi identity rather than in antisymmetry.
+    The reverse orientation is kept consistent, so the damage shows up in the
+    Jacobi identity rather than in antisymmetry.
     """
     table = dict(STRUCTURE_TABLE)
     for (x, y), elem in overrides.items():
         table[(x, y)] = elem
-        if antisymmetrize and x != y:
+        if x != y:
             sign = 1 if degree_dot(DEGREE[x], DEGREE[y]) else -1
             table[(y, x)] = sign * elem
     return table

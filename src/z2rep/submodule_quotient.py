@@ -2,12 +2,13 @@
 
 W is generated from the two singular vectors chi01, chi10 at level 2M+1 by
 the raising generators, for every order M that
-`singular_solver.detect_singular_orders` solves (re-exported here).  Its
+`singular_solver.detect_singular_orders` solves (re-exported here).
+`build_submodule` computes W once, as the bare span of the raising images
+(level by level, one Z2xZ2 sector at a time, integer echelon rows), which
+never assumes the dimension formula; `Submodule.pieces` is the one
+representation of W that every verdict reads.  Independently, the
 level-(2M+1+q) slice has the explicit spanning family built from words in ap
-and atp applied to the two singular vectors; independently, the same slice
-is computed as a bare span (level by level, one Z2xZ2 sector at a time,
-reducing integer rows by exact rank), which never assumes the dimension
-formula.
+and atp applied to the two singular vectors.
 
 For the one-dimensional family the quotient truncates: dim W saturates the
 whole weight space beyond offset q = 2M, which is where the per-level
@@ -57,19 +58,7 @@ def wbasis_words(q: int) -> list[tuple[str, ...]]:
     return words
 
 
-@dataclass
-class SubmoduleLevel:
-    module: VermaModule
-    M: int
-    q: int
-    basis: list[Vector]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
-def submodule_basis(module: VermaModule, M: int, q: int) -> SubmoduleLevel:
+def submodule_basis(module: VermaModule, M: int, q: int) -> list[Vector]:
     """The explicit spanning family of W at offset q above level 2M+1.
 
     Checks exact linear independence: the family must have rank 2(q+1).
@@ -85,13 +74,13 @@ def submodule_basis(module: VermaModule, M: int, q: int) -> SubmoduleLevel:
             "the submodule fills the whole weight space there")
     chi01, chi10 = singular_pair(module, M)
     vectors = [act_word(w, chi) for chi in (chi01, chi10) for w in wbasis_words(q)]
-    kets = list(enumerate_level(module, 2 * M + 1 + q).kets)
+    kets = list(enumerate_level(module, 2 * M + 1 + q))
     rows = [v.coords(kets) for v in vectors]
     if linalg.rank(rows) != 2 * (q + 1):
         raise ConsistencyError(
             f"spanning family at offset {q} has rank {linalg.rank(rows)}, "
             f"expected {2 * (q + 1)}")
-    return SubmoduleLevel(module, M, q, vectors)
+    return vectors
 
 
 Piece = tuple[list[list[int]], list[int]]  # integer echelon rows, pivot columns
@@ -119,8 +108,7 @@ def _integer_coords(vec: Vector, kets: list[Ket]) -> list[int]:
     return [int(c * den) for c in vec.coords(kets)]
 
 
-def build_submodule(module: VermaModule, max_level: int,
-                    orders: list[int] | None = None) -> Submodule:
+def build_submodule(module: VermaModule, max_level: int) -> Submodule:
     """W = raising words applied to all singular pairs, up to max_level.
 
     Each level is spanned by the ap and atp images of the level below and by
@@ -132,10 +120,8 @@ def build_submodule(module: VermaModule, max_level: int,
     lambda, so once each seed's denominators are cleared every row stays an
     integer vector.
     """
-    if orders is None:
-        orders = detect_singular_orders(module)
     seeds: dict[int, list[Vector]] = {}
-    for M in orders:
+    for M in detect_singular_orders(module):
         if 2 * M + 1 <= max_level:
             seeds.setdefault(2 * M + 1, []).extend(singular_pair(module, M))
     pieces: dict[int, dict[Degree, Piece]] = {}
@@ -163,30 +149,6 @@ def build_submodule(module: VermaModule, max_level: int,
             level[sector] = linalg.echelon(rows)
         kets_below = kets_here
     return Submodule(module, pieces)
-
-
-def submodule_span_dims(module: VermaModule, max_level: int,
-                        orders: list[int] | None = None) -> dict[int, tuple]:
-    """Exact per-level bases of W: {level: (rref_rows, pivots, kets)}.
-
-    The reduced row echelon form over the whole level, in Fractions, is the
-    sector pieces of `build_submodule` reduced and merged by pivot.
-    """
-    out: dict[int, tuple] = {}
-    for n, level in build_submodule(module, max_level, orders).pieces.items():
-        kets = list(enumerate_level(module, n).kets)
-        column = {ket: i for i, ket in enumerate(kets)}
-        merged = []
-        for sector, (rows, pivots) in level.items():
-            place = [column[ket] for ket in sector_kets(module, n, sector)]
-            for row, pc in zip(linalg.echelon_to_rref(rows, pivots), pivots):
-                full = [Fraction(0)] * len(kets)
-                for j, x in zip(place, row):
-                    full[j] = x
-                merged.append((place[pc], full))
-        merged.sort(key=lambda item: item[0])
-        out[n] = ([row for _, row in merged], [pc for pc, _ in merged], kets)
-    return out
 
 
 def membership_matrix(M: int) -> list[list[int]]:
@@ -238,7 +200,7 @@ def chi11_membership(M: int) -> MembershipReport:
     chi11 = closed_form(module, "chi11", M)
     columns = [act_word(w01, chi01) + act_word(w10, chi10)
                for w01, w10 in membership_words(M)]
-    kets = list(enumerate_level(module, 2 * (2 * M + 1)).kets)
+    kets = list(enumerate_level(module, 2 * (2 * M + 1)))
     a_rows = [[col.coords(kets)[i] for col in columns] for i in range(len(kets))]
     rhs = chi11.coords(kets)
     coeffs = linalg.solve_unique(a_rows, rhs)
@@ -347,7 +309,7 @@ def classify_module(module: VermaModule,
     if max_level > MAX_LEVEL:
         raise ValueError(
             f"classification needs level {max_level}, above the bound {MAX_LEVEL}")
-    w = build_submodule(module, max_level, orders)
+    w = build_submodule(module, max_level)
     per_level = _dims_table(w, max_level)
     dimension = None
     checked = False

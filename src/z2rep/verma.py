@@ -309,20 +309,9 @@ def representation_residual(g1: str, g2: str, vec: Vector) -> Vector:
     return lhs - act_element(STRUCTURE_TABLE[(g1, g2)], vec)
 
 
-@dataclass(frozen=True)
-class WeightSpace:
-    module: VermaModule
-    level: int
-    kets: tuple[Ket, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.kets)
-
-
-def enumerate_level(module: VermaModule, n: int) -> WeightSpace:
+def enumerate_level(module: VermaModule, n: int) -> tuple[Ket, ...]:
     """All kets with alpha + k + 2m = n, in canonical order."""
-    return WeightSpace(module, n, _level_kets(module.kind, n))
+    return _level_kets(module.kind, n)
 
 
 def _level_kets(kind: str, n: int) -> tuple[Ket, ...]:

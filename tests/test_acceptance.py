@@ -15,10 +15,9 @@ from z2rep.singular_solver import (closed_form, closed_form_family_kets,
                                    find_singular, proportionality,
                                    recurrence_solve, sectors_for_level,
                                    verify_rtilde_relations)
-from z2rep.submodule_quotient import (chi11_membership, classify_module,
-                                      membership_matrix, quotient_dims,
-                                      submodule_basis, submodule_span_dims,
-                                      verma_dim)
+from z2rep.submodule_quotient import (build_submodule, chi11_membership,
+                                      classify_module, membership_matrix,
+                                      quotient_dims, submodule_basis, verma_dim)
 from z2rep.verma import (VermaModule, Vector, enumerate_level,
                          representation_residual)
 
@@ -59,7 +58,7 @@ def test_criterion_02_representation_oracle():
                                   sample_rationals(5, seed=103))]
     for mod in modules:
         for n in range(9):
-            for ket in enumerate_level(mod, n).kets:
+            for ket in enumerate_level(mod, n):
                 vec = Vector(mod, {ket: Fraction(1)})
                 for g1 in GENERATORS:
                     for g2 in GENERATORS:
@@ -194,13 +193,13 @@ def test_criterion_08_submodule_dimension_law():
     notes = 0
     for M in range(5):
         mod = VermaModule("Mr", Fraction(-2 * M))
-        spans = submodule_span_dims(mod, 2 * M + 1 + 8)
+        w = build_submodule(mod, 2 * M + 1 + 8)
         for q in range(9):
             level = 2 * M + 1 + q
-            bfs_dim = len(spans[level][0])
+            bfs_dim = w.dim(level)
             if q <= 2 * M:
-                sl = submodule_basis(mod, M, q)  # raises if rank deficient
-                if sl.dim != 2 * (q + 1) or bfs_dim != 2 * (q + 1):
+                basis = submodule_basis(mod, M, q)  # raises if rank deficient
+                if len(basis) != 2 * (q + 1) or bfs_dim != 2 * (q + 1):
                     problems.append(("Mr", M, q))
             else:
                 # beyond the saturation bound the submodule fills the level
@@ -210,11 +209,11 @@ def test_criterion_08_submodule_dimension_law():
     for M in range(5):
         r = sample_rationals(1, seed=130 + M, predicate=non_integer)[0]
         mod = VermaModule("MrLambda", r, (r + 2 * M) ** 2)
-        spans = submodule_span_dims(mod, 2 * M + 1 + 8)
+        w = build_submodule(mod, 2 * M + 1 + 8)
         for q in range(9):
-            sl = submodule_basis(mod, M, q)
-            bfs_dim = len(spans[2 * M + 1 + q][0])
-            if sl.dim != 2 * (q + 1) or bfs_dim != 2 * (q + 1):
+            basis = submodule_basis(mod, M, q)
+            bfs_dim = w.dim(2 * M + 1 + q)
+            if len(basis) != 2 * (q + 1) or bfs_dim != 2 * (q + 1):
                 problems.append(("MrLambda", M, q))
     report(8, "explicit spanning family has exact rank 2(q+1) and agrees with "
               "the independently generated submodule span (one-dim family up "

@@ -235,6 +235,30 @@ def test_constituents_follow_the_factors_of_q():
                 assert mat_vec(hm.mat_rt, mat_vec(hm.mat_rt, row)) == [lam * x for x in row]
 
 
+def test_even_chain_subspace_is_the_first_constituent():
+    rng = random.Random(23)
+    for _ in range(400):
+        hm = _chain_from_factors(rng)[0]
+        if hm.n % 2:
+            continue
+        rows = find_invariant_subspace(hm)
+        first = classify(hm).constituents[0]
+        if first.kind == "unresolved" or first.dim == hm.n:
+            assert rows is None
+        else:
+            assert len(rows) == first.dim and is_invariant(hm, rows)
+
+
+def test_odd_chain_image_is_not_the_bottom_piece():
+    # q = (t - 2)(t - 3): the series starts with a nu_r_lambda, yet the
+    # image of Rt has dimension n - 1
+    hm = build_h_module(5, 0, [-6, 5])
+    assert [(c.kind, c.dim) for c in classify(hm).constituents] == \
+        [("nu_r_lambda", 2), ("nu_r_lambda", 2), ("nu_r", 1)]
+    rows = find_invariant_subspace(hm)
+    assert len(rows) == 4 and is_invariant(hm, rows)
+
+
 def test_t_polynomial_checks_the_length_of_c():
     assert t_polynomial(5, [1, 2]) == [F(-1), F(-2), F(1)]
     assert t_polynomial(1, []) == [F(1)]

@@ -4,12 +4,12 @@ import pytest
 
 from z2rep import linalg
 from z2rep.singular_solver import closed_form, find_singular, sectors_for_level
-from z2rep.submodule_quotient import (chi11_membership, classify_module,
-                                      detect_singular_orders, membership_matrix,
-                                      quotient_dims, singular_pair,
-                                      submodule_basis, submodule_span_dims,
+from z2rep.submodule_quotient import (build_submodule, chi11_membership,
+                                      classify_module, detect_singular_orders,
+                                      membership_matrix, quotient_dims,
+                                      singular_pair, submodule_basis,
                                       verma_dim, wbasis_words)
-from z2rep.verma import VermaModule, Vector, act, enumerate_level
+from z2rep.verma import VermaModule, Vector, act, enumerate_level, sector_kets
 
 
 def mr(r):
@@ -18,6 +18,21 @@ def mr(r):
 
 def mrl(r, lam):
     return VermaModule("MrLambda", Fraction(r), Fraction(lam))
+
+
+def w_vectors(w, n):
+    """The echelon rows of W at level n, one sector piece after another."""
+    return [Vector(w.module, dict(zip(sector_kets(w.module, n, sector), row)))
+            for sector, (rows, _) in w.pieces[n].items() for row in rows]
+
+
+def in_w(w, vec, n):
+    """vec lies in W: appending it to its sector piece at level n keeps the rank."""
+    if vec.is_zero():
+        return True
+    rows = w.pieces.get(n, {}).get(vec.degree(), ([], []))[0]
+    kets = sector_kets(w.module, n, vec.degree())
+    return linalg.rank(rows + [vec.coords(kets)]) == len(rows)
 
 
 def test_wbasis_word_counts():
@@ -36,14 +51,14 @@ def test_detect_singular_orders():
 
 def test_submodule_basis_examples():
     mod = mr(-2)
-    sl = submodule_basis(mod, 1, 0)
+    basis = submodule_basis(mod, 1, 0)
     chi01, chi10 = singular_pair(mod, 1)
-    assert sl.basis == [chi01, chi10]
-    assert submodule_basis(mr(-4), 2, 3).dim == 8
-    sl = submodule_basis(mod, 1, 2)
-    assert sl.dim == 6
-    kets = list(enumerate_level(mod, 5).kets)
-    assert linalg.rank([v.coords(kets) for v in sl.basis]) == 6
+    assert basis == [chi01, chi10]
+    assert len(submodule_basis(mr(-4), 2, 3)) == 8
+    basis = submodule_basis(mod, 1, 2)
+    assert len(basis) == 6
+    kets = list(enumerate_level(mod, 5))
+    assert linalg.rank([v.coords(kets) for v in basis]) == 6
 
 
 def test_submodule_basis_rejects_saturated_offsets():
@@ -56,52 +71,39 @@ def test_submodule_basis_rejects_saturated_offsets():
 def test_mrl_submodule_basis_beyond_mr_bound():
     mod = mrl(Fraction(1, 5), (Fraction(1, 5) + 2) ** 2)
     for q in range(6):
-        assert submodule_basis(mod, 1, q).dim == 2 * (q + 1)
+        assert len(submodule_basis(mod, 1, q)) == 2 * (q + 1)
 
 
 def test_span_dims_match_formula_and_saturate():
     mod = mr(-2)  # M=1
-    spans = submodule_span_dims(mod, 10)
-    dims = {n: len(spans[n][0]) for n in spans}
+    w = build_submodule(mod, 10)
+    dims = {n: w.dim(n) for n in w.pieces}
     assert dims == {3: 2, 4: 4, 5: 6, 6: 7, 7: 8, 8: 9, 9: 10, 10: 11}
     # 2(q+1) during the window, then the whole weight space
 
 
 def test_submodule_closure_under_raising():
     mod = mr(-4)
-    spans = submodule_span_dims(mod, 9)
+    w = build_submodule(mod, 9)
     for n in range(5, 9):
-        rr, pivots, kets = spans[n]
-        vecs = [Vector(mod, dict(zip(kets, row))) for row in rr]
-        for v in vecs:
+        for v in w_vectors(w, n):
             for gen, shift in (("ap", 1), ("atp", 1), ("Lp", 2), ("Ltp", 2)):
-                target = spans.get(n + shift)
-                if target is None:
+                if n + shift not in w.pieces:
                     continue
-                rr_t, piv_t, kets_t = target
-                image = act(gen, v)
-                red = linalg.reduce_mod_span(rr_t, piv_t, image.coords(kets_t))
-                assert not any(red)
+                assert in_w(w, act(gen, v), n + shift)
 
 
 def test_submodule_lowering_consistency():
     mod = mr(-4)
-    spans = submodule_span_dims(mod, 8)
+    w = build_submodule(mod, 8)
     # offset 0 vectors are singular; deeper levels lower back into W
-    rr, pivots, kets = spans[5]
-    for row in rr:
-        v = Vector(mod, dict(zip(kets, row)))
+    for v in w_vectors(w, 5):
         for gen in ("am", "atm"):
             assert act(gen, v).is_zero()
     for n in (6, 7, 8):
-        rr, pivots, kets = spans[n]
-        rr_b, piv_b, kets_b = spans[n - 1]
-        for row in rr:
-            v = Vector(mod, dict(zip(kets, row)))
+        for v in w_vectors(w, n):
             for gen in ("am", "atm"):
-                red = linalg.reduce_mod_span(rr_b, piv_b,
-                                             act(gen, v).coords(kets_b))
-                assert not any(red)
+                assert in_w(w, act(gen, v), n - 1)
 
 
 def test_membership_m0():
@@ -280,11 +282,9 @@ def test_chi11_inside_submodule_span():
     for M in (0, 1, 2):
         mod = mr(-2 * M)
         level = 2 * (2 * M + 1)
-        spans = submodule_span_dims(mod, level)
-        rr, pivots, kets = spans[level]
+        w = build_submodule(mod, level)
         chi11 = closed_form(mod, "chi11", M)
-        red = linalg.reduce_mod_span(rr, pivots, chi11.coords(kets))
-        assert not any(red)
+        assert in_w(w, chi11, level)
 
 
 def test_detect_singular_orders_beyond_old_scan():

@@ -13,8 +13,8 @@ import pytest
 from z2rep import linalg
 from z2rep.submodule_quotient import (_quotient_has_no_singular, build_submodule,
                                       classify_module, detect_singular_orders,
-                                      singular_pair, submodule_span_dims)
-from z2rep.verma import VermaModule, Vector, act, enumerate_level
+                                      singular_pair)
+from z2rep.verma import VermaModule, Vector, act, enumerate_level, sector_kets
 
 
 def mr(r):
@@ -43,7 +43,7 @@ def bfs_span_dims(module, max_level, orders):
         for v in prev2:
             cands.append(act("Lp", v))
             cands.append(act("Ltp", v))
-        kets = list(enumerate_level(module, n).kets)
+        kets = list(enumerate_level(module, n))
         rr, pivots = linalg.rref([v.coords(kets) for v in cands if not v.is_zero()])
         out[n] = (rr, pivots, kets)
         prev, prev2 = [Vector(module, dict(zip(kets, row))) for row in rr], prev
@@ -51,12 +51,12 @@ def bfs_span_dims(module, max_level, orders):
 
 
 def fraction_quotient_check(module, spans, n):
-    kets = list(enumerate_level(module, n).kets)
+    kets = list(enumerate_level(module, n))
     rr_n, pivots_n = spans[n][:2] if n in spans else ([], [])
     comp = [i for i in range(len(kets)) if i not in pivots_n]
     if not comp:
         return True
-    below = list(enumerate_level(module, n - 1).kets)
+    below = list(enumerate_level(module, n - 1))
     rr_b, pivots_b = spans[n - 1][:2] if n - 1 in spans else ([], [])
     comp_b = [i for i in range(len(below)) if i not in pivots_b]
     rows = [[Fraction(0)] * len(comp) for _ in range(2 * len(comp_b))]
@@ -86,11 +86,18 @@ def test_builder_matches_fraction_bfs(module, cap):
     top = max(row["level"] for row in verdict.per_level)
     orders = detect_singular_orders(module)
     old = bfs_span_dims(module, top, orders)
-    new = submodule_span_dims(module, top, orders)
-    assert new.keys() == old.keys()
-    for n in old:
-        assert new[n] == old[n], f"level {n}"
-    w = build_submodule(module, top, orders)
+    w = build_submodule(module, top)
+    assert w.pieces.keys() == old.keys()
+    for n, (rr, pivots, kets) in old.items():
+        # a reduced row echelon form is unique, so each of its rows lies in
+        # the sector of its pivot and is that sector's RREF cut to its kets
+        assert len(rr) == w.dim(n), f"level {n}"
+        for sector, (rows, _) in w.pieces[n].items():
+            place = [kets.index(ket) for ket in sector_kets(module, n, sector)]
+            mine = [row for row, pc in zip(rr, pivots) if pc in place]
+            assert all(not x for row in mine for j, x in enumerate(row) if j not in place)
+            assert [[row[j] for j in place] for row in mine] == linalg.rref(rows)[0], \
+                f"level {n} sector {sector}"
     assert all(_quotient_has_no_singular(w, n) == fraction_quotient_check(module, old, n)
                for n in range(1, top + 1))
     # the verdict's flag, recomputed with the old check over the old ranges

@@ -27,16 +27,16 @@ def test_module_validation():
 
 
 def test_enumerate_level_dims():
-    assert enumerate_level(MR, 0).kets == (Ket(0, 0, 0),)
+    assert enumerate_level(MR, 0) == (Ket(0, 0, 0),)
     ws = enumerate_level(MR, 2)
-    assert set(ws.kets) == {Ket(0, 2, 0), Ket(0, 0, 1), Ket(1, 1, 0)}
-    assert ws.dim == 3
+    assert set(ws) == {Ket(0, 2, 0), Ket(0, 0, 1), Ket(1, 1, 0)}
+    assert len(ws) == 3
     for n in range(9):
-        assert enumerate_level(MR, n).dim == n + 1
-        assert enumerate_level(MRL, n).dim == 2 * (n + 1)
+        assert len(enumerate_level(MR, n)) == n + 1
+        assert len(enumerate_level(MRL, n)) == 2 * (n + 1)
     ws1 = enumerate_level(MRL, 1)
-    assert set(ws1.kets) == {Ket(0, 1, 0, 0), Ket(0, 1, 0, 1),
-                             Ket(1, 0, 0, 0), Ket(1, 0, 0, 1)}
+    assert set(ws1) == {Ket(0, 1, 0, 0), Ket(0, 1, 0, 1),
+                        Ket(1, 0, 0, 0), Ket(1, 0, 0, 1)}
 
 
 def test_level_sector_split():
@@ -45,7 +45,7 @@ def test_level_sector_split():
         for n in range(7):
             ws = enumerate_level(mod, n)
             expect = {(0, 0), (1, 1)} if n % 2 == 0 else {(0, 1), (1, 0)}
-            got = {mod.degree(k) for k in ws.kets}
+            got = {mod.degree(k) for k in ws}
             assert got <= expect
             if n >= 1:
                 assert got == expect
@@ -98,14 +98,14 @@ def test_act_element_rejects_mixed_modules():
 
 def test_raising_relations_between_lp_and_ap():
     # 2*Lp = ap^2 and -2*Lp = atp^2, certified on a few kets
-    for ket in enumerate_level(MR, 3).kets:
+    for ket in enumerate_level(MR, 3):
         v = Vector(MR, {ket: Fraction(1)})
         assert 2 * act("Lp", v) == act_word(("ap", "ap"), v)
         assert -2 * act("Lp", v) == act_word(("atp", "atp"), v)
 
 
-KETS_MR = [k for n in range(6) for k in enumerate_level(MR, n).kets]
-KETS_MRL = [k for n in range(6) for k in enumerate_level(MRL, n).kets]
+KETS_MR = [k for n in range(6) for k in enumerate_level(MR, n)]
+KETS_MRL = [k for n in range(6) for k in enumerate_level(MRL, n)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -131,7 +131,7 @@ def test_level_and_degree_bookkeeping_mrl(gen, ket):
 def test_rtilde_preserves_level_and_swaps_sector():
     for mod in (MR, MRL):
         for n in range(5):
-            for ket in enumerate_level(mod, n).kets:
+            for ket in enumerate_level(mod, n):
                 out = act("Rt", Vector(mod, {ket: Fraction(1)}))
                 if out.is_zero():
                     continue
@@ -180,7 +180,7 @@ def test_sector_kets_canonical_order():
     assert kets == sorted(kets, key=lambda k: (k.m, k.k, k.alpha, k.beta or 0))
     for mod in (MR, MRL):
         for n in range(13):
-            kets = enumerate_level(mod, n).kets
+            kets = enumerate_level(mod, n)
             assert list(kets) == sorted(kets, key=lambda k: (k.m, k.k, k.alpha, k.beta or 0))
             for sector in ((0, 0), (0, 1), (1, 0), (1, 1)):
                 assert sector_kets(mod, n, sector) == [k for k in kets
@@ -193,7 +193,7 @@ def test_sector_kets_cache_cannot_be_mutated():
     kets.clear()
     other = VermaModule("Mr", Fraction(-7, 3))
     assert sector_kets(other, 5, (0, 1)) == expected
-    assert expected == [k for k in enumerate_level(other, 5).kets
+    assert expected == [k for k in enumerate_level(other, 5)
                         if other.degree(k) == (0, 1)]
 
 
@@ -209,8 +209,8 @@ def test_zero_vector():
     (VermaModule("MrLambda", Fraction(2, 7), Fraction(-5, 3)), "atm", 21, 3),
 ])
 def test_action_rows_scale_clears_denominators(module, gen, good_scale, bad_scale):
-    kets = list(enumerate_level(module, 5).kets)
-    targets = list(enumerate_level(module, 4).kets)
+    kets = list(enumerate_level(module, 5))
+    targets = list(enumerate_level(module, 4))
     rows = action_rows(module, gen, kets, targets, good_scale)
     for ket, row in zip(kets, rows):
         image = act(gen, Vector(module, {ket: 1}))
