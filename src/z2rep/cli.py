@@ -210,8 +210,7 @@ def cmd_classify(args) -> int:
 
 def cmd_dims(args) -> int:
     module = _module_from_args(args)
-    max_level = args.max_level if args.max_level is not None else args.level_cap
-    table = submodule_quotient.quotient_dims(module, max_level)
+    table = submodule_quotient.quotient_dims(module, args.max_level)
     _emit(args, table,
           ["kind", "r", "lambda", "level", "verma_dim", "submodule_dim",
            "quotient_dim"], [{**_module_fields(module), **row} for row in table])
@@ -247,10 +246,6 @@ def build_parser(config: RunConfig) -> argparse.ArgumentParser:
                         default=config.output_format, help="output format")
     common.add_argument("--out", default=config.output_path,
                         help="write output to this path instead of stdout")
-    capped = argparse.ArgumentParser(add_help=False, parents=[common])
-    capped.add_argument("--level-cap", dest="level_cap", type=int,
-                        default=config.level_cap,
-                        help="largest level of a sweep or of a table without --max-level")
 
     parser = argparse.ArgumentParser(
         prog="z2rep",
@@ -268,8 +263,10 @@ def build_parser(config: RunConfig) -> argparse.ArgumentParser:
                        help="dump the structure-constant table")
     p.set_defaults(func=cmd_bracket_table)
 
-    p = sub.add_parser("singular", parents=[capped],
+    p = sub.add_parser("singular", parents=[common],
                        help="singular vectors by exact null-space computation")
+    p.add_argument("--level-cap", dest="level_cap", type=int, default=config.level_cap,
+                   help="largest level of a sweep")
     p.add_argument("--kind", choices=("mr", "mrl"), required=True)
     p.add_argument("--r", required=True, help='rational, e.g. "-2" or "1/3"')
     p.add_argument("--lambda", dest="lam", help="rational, mrl only")
@@ -287,12 +284,12 @@ def build_parser(config: RunConfig) -> argparse.ArgumentParser:
     p.add_argument("--max-level", dest="max_level", type=int)
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("dims", parents=[capped],
+    p = sub.add_parser("dims", parents=[common],
                        help="per-level weight-space / submodule / quotient dimensions")
     p.add_argument("--kind", choices=("mr", "mrl"), required=True)
     p.add_argument("--r", required=True)
     p.add_argument("--lambda", dest="lam")
-    p.add_argument("--max-level", dest="max_level", type=int)
+    p.add_argument("--max-level", dest="max_level", type=int, default=config.level_cap)
     p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("cartan", parents=[common],

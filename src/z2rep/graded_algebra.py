@@ -137,20 +137,20 @@ _BASE_RELATIONS: dict[tuple[str, str], dict[str, int]] = {
 Table = dict[tuple[str, str], Element]
 
 
-def _build_table() -> Table:
-    table: Table = {(x, y): Element.zero() for x in GENERATORS for y in GENERATORS}
-    for (x, y), terms in _BASE_RELATIONS.items():
-        table[(x, y)] = Element(terms)
-    for (x, y), _ in _BASE_RELATIONS.items():
-        if x == y:
-            continue
-        # [[Y, X]] = -(-1)^{deg X . deg Y} [[X, Y]]
-        sign = 1 if degree_dot(DEGREE[x], DEGREE[y]) else -1
-        table[(y, x)] = sign * table[(x, y)]
-    return table
+def _with_entries(table: Table, entries: dict[tuple[str, str], Element]) -> Table:
+    """Copy of table with each entry and its graded-antisymmetric reverse set."""
+    out = dict(table)
+    for (x, y), elem in entries.items():
+        out[(x, y)] = elem
+        if x != y:
+            # [[Y, X]] = -(-1)^{deg X . deg Y} [[X, Y]]
+            out[(y, x)] = (1 if degree_dot(DEGREE[x], DEGREE[y]) else -1) * elem
+    return out
 
 
-STRUCTURE_TABLE: Table = _build_table()
+STRUCTURE_TABLE: Table = _with_entries(
+    {(x, y): Element.zero() for x in GENERATORS for y in GENERATORS},
+    {pair: Element(terms) for pair, terms in _BASE_RELATIONS.items()})
 
 
 def bracket(x: Element, y: Element, table: Table | None = None) -> Element:
@@ -169,13 +169,7 @@ def mutated_table(overrides: dict[tuple[str, str], Element]) -> Table:
     The reverse orientation is kept consistent, so the damage shows up in the
     Jacobi identity rather than in antisymmetry.
     """
-    table = dict(STRUCTURE_TABLE)
-    for (x, y), elem in overrides.items():
-        table[(x, y)] = elem
-        if x != y:
-            sign = 1 if degree_dot(DEGREE[x], DEGREE[y]) else -1
-            table[(y, x)] = sign * elem
-    return table
+    return _with_entries(STRUCTURE_TABLE, overrides)
 
 
 @dataclass

@@ -312,7 +312,6 @@ def classify_module(module: VermaModule,
     w = build_submodule(module, max_level)
     per_level = _dims_table(w, max_level)
     dimension = None
-    checked = False
     if case == "ii":
         support = 4 * M + 1
         total = sum(row["quotient_dim"] for row in per_level)
@@ -322,9 +321,6 @@ def classify_module(module: VermaModule,
         if any(row["quotient_dim"] for row in per_level if row["level"] > support):
             raise ConsistencyError("quotient persists beyond its support")
         dimension = (2 * M + 1) ** 2
-        checked = all(_quotient_has_no_singular(w, n) for n in range(1, support + 1))
-        if not checked:
-            raise ConsistencyError("quotient contains an unexpected singular vector")
     elif case == "iv":
         # two constraint orders can coexist (integer r); the quotient then
         # terminates.  Two consecutive empty levels end it for good, since
@@ -332,6 +328,9 @@ def classify_module(module: VermaModule,
         quots = [row["quotient_dim"] for row in per_level]
         if len(quots) >= 2 and quots[-1] == quots[-2] == 0:
             dimension = sum(quots)
-            top = max(row["level"] for row in per_level if row["quotient_dim"])
-            checked = all(_quotient_has_no_singular(w, n) for n in range(1, top + 2))
-    return ClassificationVerdict(module, case, M, dimension, per_level, checked)
+    if dimension is not None:
+        top = max(row["level"] for row in per_level if row["quotient_dim"])
+        if not all(_quotient_has_no_singular(w, n) for n in range(1, top + 2)):
+            raise ConsistencyError("quotient contains an unexpected singular vector")
+    return ClassificationVerdict(module, case, M, dimension, per_level,
+                                 dimension is not None)

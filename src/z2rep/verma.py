@@ -8,11 +8,11 @@ Ltp applied to the lowest weight vector — plus a lowest-weight label beta for
 the two-dimensional family.  Higher powers of atp never appear because
 atp^2 = -ap^2 = -2*Lp inside the enveloping algebra.
 
-All ten generator actions are implemented exactly over Fractions.  The
-actions of Lp and Lm are not independent formulas: they are defined through
-the enveloping relations Lp = -atp^2/2 and Lm = am^2/2, and certified against
-the bracket table by `representation_residual`, which must vanish for every
-generator pair.
+The four odd generators ap, am, atp and atm act by explicit formulas over
+Fractions.  Each even generator X is one bracket [[g1, g2]] = c X of two odd
+ones in the structure table and acts as that graded commutator over c (so
+Lp = -atp^2/2, Lm = am^2/2); `representation_residual`, vanishing on every
+generator pair, certifies that the four formulas define a representation.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .graded_algebra import (DEGREE, Element, STRUCTURE_TABLE, degree_add,
-                             degree_dot)
+from .graded_algebra import DEGREE, Element, STRUCTURE_TABLE, degree_dot
 
 
 class Ket(NamedTuple):
@@ -163,6 +162,13 @@ def zero_vector(module: VermaModule) -> Vector:
     return Vector(module, {})
 
 
+# each even generator X as the bracket [[g1, g2]] = c X of two odd ones
+_EVEN_FROM_ODD: dict[str, tuple[str, str]] = {
+    "R": ("ap", "am"), "Rt": ("ap", "atm"), "Lp": ("atp", "atp"),
+    "Lm": ("am", "am"), "Ltp": ("ap", "atp"), "Ltm": ("am", "atm"),
+}
+
+
 @lru_cache(maxsize=None)
 def _ket_action(kind: str, r: Fraction, lam: Fraction | None,
                 gen: str, ket: Ket) -> tuple[tuple[Ket, Fraction], ...]:
@@ -178,29 +184,12 @@ def _ket_action(kind: str, r: Fraction, lam: Fraction | None,
             key = Ket(a2, k2, m2, b2)
             out[key] = out.get(key, 0) + coeff
 
-    if gen == "R":
-        put(a, k, m, b, r + a + k + 2 * m)
-    elif gen == "Rt":
-        if a == 0:
-            put(0, k + 2, m - 1, b, sgn * m)
-            put(0, k - 2, m + 1, b, sgn * 2 * (k - kb))
-            put(1, k - 1, m, b, kb)
-            if mrl:
-                put(0, k, m, 1 - b, sgn * lam ** b)
-        else:
-            put(1, k + 2, m - 1, b, -sgn * m)
-            put(1, k - 2, m + 1, b, -sgn * 2 * (k - kb))
-            put(0, k + 1, m, b, 1 + kb)
-            if mrl:
-                put(1, k, m, 1 - b, -sgn * lam ** b)
-    elif gen == "atp":
+    if gen == "atp":
         put(1 - a, k + 2 * a, m, b, -1 if a else 1)
     elif gen == "ap":
         put(a, k + 1, m, b, 1)
         if a == 1:
             put(0, k, m + 1, b, -sgn * 4)
-    elif gen == "Ltp":
-        put(a, k, m + 1, b, -1 if (a + k) % 2 else 1)
     elif gen == "atm":
         if a == 0:
             put(1, k - 2, m, b, -(k - kb))
@@ -224,31 +213,20 @@ def _ket_action(kind: str, r: Fraction, lam: Fraction | None,
                 # coefficient forced by [am, atp] = -2 Rt on the lowest
                 # weight space; certified by representation_residual
                 put(0, k, m, 1 - b, -sgn * 2 * lam ** b)
-    elif gen == "Ltm":
-        if a == 0:
-            put(0, k, m - 1, b, sgn * m * (r + k + m - 1))
-            put(0, k - 4, m + 1, b, sgn * (k - kb) * (k - kb - 2))
-            put(1, k - 3, m, b, kb * (k - 1))
-            if mrl:
-                put(0, k - 2, m, 1 - b, sgn * (k - kb) * lam ** b)
-        else:
-            put(1, k, m - 1, b, -sgn * m * (r + k + m))
-            put(1, k - 4, m + 1, b, -sgn * (k - kb) * (k - kb - 2))
-            put(0, k - 1, m, b, 2 * (r - 1) * kb + (kb + 1) * k)
-            if mrl:
-                put(1, k - 2, m, 1 - b, -sgn * (k - kb) * lam ** b)
-    elif gen in ("Lp", "Lm"):
-        # enveloping relations: Lp = -atp^2/2, Lm = am^2/2
-        inner, scale = ("atp", Fraction(-1, 2)) if gen == "Lp" else ("am", Fraction(1, 2))
-        for mid, c1 in _ket_action(kind, r, lam, inner, ket):
-            for fin, c2 in _ket_action(kind, r, lam, inner, mid):
-                out[fin] = out.get(fin, Fraction(0)) + scale * c1 * c2
-        out = {key: c for key, c in out.items() if c}
+    elif gen in _EVEN_FROM_ODD:
+        # [[g1, g2]] = c X, so X = (g1 g2 - (-1)^{deg g1 . deg g2} g2 g1) / c
+        g1, g2 = _EVEN_FROM_ODD[gen]
+        c = STRUCTURE_TABLE[(g1, g2)].terms[gen]
+        sign = -1 if degree_dot(DEGREE[g1], DEGREE[g2]) else 1
+        for first, then, scale in ((g2, g1, 1 / c), (g1, g2, -sign / c)):
+            for mid, c1 in _ket_action(kind, r, lam, first, ket):
+                for fin, c2 in _ket_action(kind, r, lam, then, mid):
+                    out[fin] = out.get(fin, 0) + scale * c1 * c2
     else:
         raise ValueError(f"unknown generator {gen!r}")
 
-    return tuple((key, Fraction(c))
-                 for key, c in sorted(out.items(), key=lambda it: ket_sort_key(it[0])))
+    return tuple((key, Fraction(c)) for key, c
+                 in sorted(out.items(), key=lambda it: ket_sort_key(it[0])) if c)
 
 
 def act(gen: str, vec: Vector) -> Vector:
@@ -301,8 +279,10 @@ def representation_residual(g1: str, g2: str, vec: Vector) -> Vector:
     """g1 g2 v - (-1)^{deg g1 . deg g2} g2 g1 v - [[g1, g2]] v.
 
     The master oracle: it must be exactly zero for every generator pair on
-    every vector, which certifies all action formulas (including signs)
-    against the structure constants.
+    every vector.  The even generators act through brackets of odd ones, so
+    the 10 ordered pairs that define them vanish by construction; the residual
+    on all 100 pairs is exactly the condition that the four odd formulas
+    (including signs) define a representation of the structure table.
     """
     sign = -1 if degree_dot(DEGREE[g1], DEGREE[g2]) else 1
     lhs = act(g1, act(g2, vec)) - sign * act(g2, act(g1, vec))

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from z2rep import submodule_quotient
 from z2rep.cli import load_run_config, main, parse_mutation
 from z2rep.graded_algebra import Element
 
@@ -296,6 +297,16 @@ def test_env_config_defaults_per_file(tmp_path, monkeypatch, capsys):
             assert out.strip().splitlines()[-1].split(",")[3] == last_level
 
 
+def test_env_config_level_cap_ends_the_dims_table(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"level_cap": 3}))
+    monkeypatch.setenv("Z2REP_CONFIG", str(cfg))
+    code, out, _ = run_cli(capsys, "dims", "--kind", "mr", "--r", "-2")
+    assert code == 0 and [row["level"] for row in json.loads(out)] == [0, 1, 2, 3]
+    code, out, _ = run_cli(capsys, "dims", "--kind", "mr", "--r", "-2", "--max-level", "5")
+    assert code == 0 and json.loads(out)[-1]["level"] == 5
+
+
 @pytest.mark.parametrize("payload", [
     [{"level_cap": 5}],
     {"level_cap": "5"},
@@ -318,6 +329,7 @@ def test_env_config_malformed_values(payload, tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv", [
     ("classify", "--kind", "mr", "--r", "-4", "--level-cap", "5"),
+    ("dims", "--kind", "mr", "--r", "1", "--level-cap", "5"),
     ("cartan", "--n", "1", "--r", "0", "--seed", "1"),
     ("verify-algebra", "--m-cap", "3"),
     ("bracket-table", "--samples", "2"),
@@ -326,6 +338,15 @@ def test_unread_flags_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
+
+
+def test_failed_quotient_check_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(submodule_quotient, "_quotient_has_no_singular",
+                        lambda w, n: False)
+    code, out, err = run_cli(capsys, "classify", "--kind", "mrl", "--r", "-5",
+                             "--lambda", "9")
+    assert code == 1 and out == ""
+    assert "unexpected singular vector" in err
 
 
 def test_env_config_bad_file(tmp_path, monkeypatch, capsys):

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from z2rep import linalg
+from z2rep import linalg, submodule_quotient
 from z2rep.singular_solver import closed_form, find_singular, sectors_for_level
-from z2rep.submodule_quotient import (build_submodule, chi11_membership,
+from z2rep.submodule_quotient import (ConsistencyError, build_submodule, chi11_membership,
                                       classify_module, detect_singular_orders,
                                       membership_matrix, quotient_dims,
                                       singular_pair, submodule_basis,
@@ -254,6 +254,15 @@ def test_two_order_quotient_is_finite(m1, s):
         top = max(row["level"] for row in verdict.per_level if row["quotient_dim"])
         assert top == 2 * (m1 + m2)
         assert sum(row["quotient_dim"] for row in verdict.per_level) == verdict.dimension
+
+
+def test_failed_quotient_check_raises_on_two_order_module(monkeypatch):
+    # a finite verdict is never given without its irreducibility check
+    monkeypatch.setattr(submodule_quotient, "_quotient_has_no_singular",
+                        lambda w, n: False)
+    for module in (mrl(-5, 9), mr(-4)):
+        with pytest.raises(ConsistencyError, match="unexpected singular vector"):
+            classify_module(module)
 
 
 def test_single_order_cap_reaches_past_the_singular_level():

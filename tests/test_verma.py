@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -77,6 +78,25 @@ def test_rtilde_on_lowest_weight_mrl():
     low1 = MRL.basis_vector(0, 0, 0, 1)
     assert act("Rt", low0) == low1
     assert act("Rt", low1) == MRL.lam * low0
+
+
+def test_derived_even_actions_on_every_ket():
+    # R, Ltp and Rt act through brackets of two odd generators; pin their
+    # images on every ket of levels 0..10 at seeded parameters
+    rng = random.Random(10)
+    r = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+    lam = Fraction(rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(1, 9))
+    for mod in (VermaModule("Mr", r), VermaModule("MrLambda", r, lam)):
+        for n in range(11):
+            for ket in enumerate_level(mod, n):
+                v = Vector(mod, {ket: 1})
+                assert act("R", v) == (r + n) * v
+                raised = ket._replace(m=ket.m + 1)
+                assert act("Ltp", v) == Vector(mod, {raised: (-1) ** (ket.alpha + ket.k)})
+        if mod.kind == "MrLambda":
+            for b in (0, 1):
+                low = mod.basis_vector(0, 0, 0, b)
+                assert act("Rt", low) == lam ** b * mod.basis_vector(0, 0, 0, 1 - b)
 
 
 def test_act_element_linearity():
