@@ -20,27 +20,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .rationals import format_rational
 
-Matrix = tuple[tuple[Fraction, ...], ...]
 MAX_DIM = 12  # largest chain dimension build_h_module accepts
-
-
-def _freeze(rows) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
 @dataclass(frozen=True)
 class HModule:
-    """Chain module: dim n, scalar r, closing coefficients c."""
+    """Chain module: dim n, scalar r, closing coefficients c; Rt on request."""
     n: int
     r: Fraction
     c: tuple[Fraction, ...]
-    mat_r: Matrix
-    mat_rt: Matrix
-    parity: tuple[int, ...]  # 0 = degree (0,0), 1 = degree (1,1)
+
+    @cached_property
+    def mat_rt(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Rt in the chain basis, built on first read and then kept."""
+        n = self.n
+        mat_rt = [[Fraction(0)] * n for _ in range(n)]
+        for k in range(n - 1):
+            mat_rt[k + 1][k] = Fraction(1)
+        # last column: parity forces the image onto positions n-1 mod 2
+        start = 1 if n % 2 else 0
+        for j, coeff in enumerate(self.c):
+            mat_rt[start + 2 * j][n - 1] = coeff
+        return tuple(map(tuple, mat_rt))
 
 
 @dataclass(frozen=True)
@@ -64,7 +70,6 @@ class CartanReport:
     dim: int
     r: Fraction
     constituents: list[Constituent]
-    certified: bool  # False when some piece stayed unresolved over Q
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "r": format_rational(self.r),
@@ -86,17 +91,7 @@ def build_h_module(n: int, r, c) -> HModule:
     if len(c) != expected_c_length(n):
         raise ValueError(
             f"need {expected_c_length(n)} closing coefficients for n={n}, got {len(c)}")
-    r = Fraction(r)
-    mat_rt = [[Fraction(0)] * n for _ in range(n)]
-    for k in range(n - 1):
-        mat_rt[k + 1][k] = Fraction(1)
-    # last column: parity forces the image onto positions n-1 mod 2
-    start = 1 if n % 2 else 0
-    for j, coeff in enumerate(c):
-        mat_rt[start + 2 * j][n - 1] = coeff
-    mat_r = [[r if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    return HModule(n, r, c, _freeze(mat_r), _freeze(mat_rt),
-                   tuple(k % 2 for k in range(n)))
+    return HModule(n, Fraction(r), c)
 
 
 def t_polynomial(n: int, c) -> list[Fraction]:
@@ -171,4 +166,4 @@ def classify(hm: HModule) -> CartanReport:
     if rest:
         pieces.append(Constituent("unresolved", rest, hm.r))
     pieces += [Constituent("nu_r", 1, hm.r)] * (nu - low)
-    return CartanReport(hm.n, hm.r, pieces, certified=not rest)
+    return CartanReport(hm.n, hm.r, pieces)

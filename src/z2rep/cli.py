@@ -340,7 +340,7 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"mathematical check failed: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ZeroDivisionError) as exc:
+    except (OSError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

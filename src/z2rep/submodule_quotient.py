@@ -243,7 +243,6 @@ class ClassificationVerdict:
     M: int | None
     dimension: int | None  # None means infinite
     per_level: list[dict]
-    quotient_irreducible_checked: bool = False
 
     def to_json(self) -> dict:
         out = {"kind": self.module.kind, "r": format_rational(self.module.r)}
@@ -332,5 +331,4 @@ def classify_module(module: VermaModule,
         top = max(row["level"] for row in per_level if row["quotient_dim"])
         if not all(_quotient_has_no_singular(w, n) for n in range(1, top + 2)):
             raise ConsistencyError("quotient contains an unexpected singular vector")
-    return ClassificationVerdict(module, case, M, dimension, per_level,
-                                 dimension is not None)
+    return ClassificationVerdict(module, case, M, dimension, per_level)

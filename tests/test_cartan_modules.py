@@ -54,21 +54,21 @@ def test_build_examples():
 def test_r_central():
     hm = build_h_module(4, Fraction(2, 3), [1, 2])
     n = hm.n
-    rt_r = [[sum(hm.mat_rt[i][t] * hm.mat_r[t][j] for t in range(n))
+    mat_r = [[hm.r if i == j else F(0) for j in range(n)] for i in range(n)]
+    rt_r = [[sum(hm.mat_rt[i][t] * mat_r[t][j] for t in range(n))
              for j in range(n)] for i in range(n)]
-    r_rt = [[sum(hm.mat_r[i][t] * hm.mat_rt[t][j] for t in range(n))
+    r_rt = [[sum(mat_r[i][t] * hm.mat_rt[t][j] for t in range(n))
              for j in range(n)] for i in range(n)]
     assert rt_r == r_rt
 
 
 def test_parity_structure():
     hm = build_h_module(5, 0, [1, 2])
-    assert hm.parity == (0, 1, 0, 1, 0)
-    # Rt flips parity: column k supports only opposite-parity rows
+    # Rt flips parity: column k supports only rows of the opposite parity
     for k in range(hm.n):
         for i in range(hm.n):
             if hm.mat_rt[i][k]:
-                assert hm.parity[i] != hm.parity[k]
+                assert i % 2 != k % 2
 
 
 def test_irreducible_cases_have_no_invariant_subspace():
@@ -110,9 +110,8 @@ def test_parity_blocks_of_rt_squared_have_closing_polynomial():
             sq = [[sum((hm.mat_rt[i][t] * hm.mat_rt[t][j] for t in range(n)), F(0))
                    for j in range(n)] for i in range(n)]
             for p in (0, 1):
-                idx = [i for i in range(n) if hm.parity[i] == p]
-                assert all(sq[i][j] == 0 for i in idx for j in range(n)
-                           if hm.parity[j] != p)
+                idx = [i for i in range(n) if i % 2 == p]
+                assert all(sq[i][j] == 0 for i in idx for j in range(n) if j % 2 != p)
                 block = [[sq[i][j] for j in idx] for i in idx]
                 assert linalg.char_poly(block) == t_polynomial(n, c)
 
@@ -130,7 +129,7 @@ def test_classify_leaf_cases():
     rep = classify(build_h_module(2, 0, [5]))
     assert [(c.kind, c.dim, c.lam) for c in rep.constituents] == \
         [("nu_r_lambda", 2, F(5))]
-    assert rep.certified
+    assert all(c.kind != "unresolved" for c in rep.constituents)
 
 
 def test_classify_chain_decomposition():
@@ -139,7 +138,7 @@ def test_classify_chain_decomposition():
     assert all(c.dim <= 2 for c in rep.constituents)
     assert all(c.kind in ("nu_r", "nu_r_lambda") for c in rep.constituents)
     assert all(c.r == 0 for c in rep.constituents)
-    assert rep.certified
+    assert all(c.kind != "unresolved" for c in rep.constituents)
 
 
 def test_classify_pieces_pass_irreducibility_oracle():
@@ -158,7 +157,6 @@ def test_unresolved_over_q():
     # closing polynomial t^2 - 2: no rational root, kernel trivial
     rep = classify(build_h_module(4, 0, [2, 0]))
     assert [c.kind for c in rep.constituents] == ["unresolved"]
-    assert not rep.certified
     assert find_invariant_subspace(build_h_module(4, 0, [2, 0])) is None
 
 
@@ -217,7 +215,7 @@ def test_constituents_follow_the_factors_of_q():
                            + [("unresolved", rest, None)] * bool(rest))
         assert Counter((p.kind, p.dim, p.lam) for p in rep.constituents) == expected
         assert all(p.r == hm.r for p in rep.constituents)
-        assert rep.certified == (not rest)
+        assert any(p.kind == "unresolved" for p in rep.constituents) == bool(rest)
         if n % 2:
             want = n - 1 if n > 1 else None
         elif lams and n > 2:
@@ -257,6 +255,15 @@ def test_odd_chain_image_is_not_the_bottom_piece():
         [("nu_r_lambda", 2), ("nu_r_lambda", 2), ("nu_r", 1)]
     rows = find_invariant_subspace(hm)
     assert len(rows) == 4 and is_invariant(hm, rows)
+
+
+def test_classify_builds_no_matrix():
+    # classification reads q alone; Rt is built when a subspace is asked for
+    hm = build_h_module(12, 0, [1, 0, 2, 0, 3, 0])
+    classify(hm)
+    assert "mat_rt" not in vars(hm)
+    find_invariant_subspace(hm)
+    assert "mat_rt" in vars(hm)
 
 
 def test_t_polynomial_checks_the_length_of_c():

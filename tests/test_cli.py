@@ -181,6 +181,15 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["passed"]
 
 
+@pytest.mark.parametrize("argv", [["classify", "--kind", "mr", "--r", "-2"],
+                                  ["cartan", "--n", "2", "--r", "0", "--c", "1"]])
+def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
+    # a directory, and a file in a directory that does not exist
+    for target in (tmp_path, tmp_path / "missing" / "x.json"):
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["singular", "--kind", "mr", "--r", "1"])  # --level/--sweep missing

@@ -175,7 +175,6 @@ def test_classify_case_ii():
     verdict = classify_module(mr(-4))
     assert verdict.case == "ii" and verdict.M == 2
     assert verdict.dimension == 25
-    assert verdict.quotient_irreducible_checked
     quots = [row["quotient_dim"] for row in verdict.per_level]
     assert quots[:10] == [1, 2, 3, 4, 5, 4, 3, 2, 1, 0]
 
@@ -232,7 +231,6 @@ def test_classify_two_order_parameters():
     verdict = classify_module(mrl(-3, 1), max_level=9)
     assert verdict.case == "iv" and verdict.M == 1
     assert verdict.dimension == 30
-    assert verdict.quotient_irreducible_checked
     quots = [row["quotient_dim"] for row in verdict.per_level]
     assert quots == [2, 4, 6, 6, 6, 4, 2, 0, 0, 0]
 
@@ -250,19 +248,22 @@ def test_two_order_quotient_is_finite(m1, s):
         verdict = classify_module(module, max_level=cap)
         assert verdict.case == "iv" and verdict.M == m1
         assert verdict.dimension == 2 * (2 * m1 + 1) * (2 * m2 + 1)
-        assert verdict.quotient_irreducible_checked
         top = max(row["level"] for row in verdict.per_level if row["quotient_dim"])
         assert top == 2 * (m1 + m2)
         assert sum(row["quotient_dim"] for row in verdict.per_level) == verdict.dimension
 
 
 def test_failed_quotient_check_raises_on_two_order_module(monkeypatch):
-    # a finite verdict is never given without its irreducibility check
+    # a finite verdict is never given without its irreducibility check: every
+    # case-ii module Mr(-2M) and every two-order module at every cap
     monkeypatch.setattr(submodule_quotient, "_quotient_has_no_singular",
                         lambda w, n: False)
-    for module in (mrl(-5, 9), mr(-4)):
+    cases = [(mrl(-5, 9), None), (mrl(-3, 1), 9)] + [(mr(-2 * M), None) for M in range(6)]
+    cases += [(mrl(-s - 2 * m1, s * s), cap) for m1 in range(5) for s in range(1, 5)
+              for cap in (None, 0, 2 * m1 + 1)]
+    for module, cap in cases:
         with pytest.raises(ConsistencyError, match="unexpected singular vector"):
-            classify_module(module)
+            classify_module(module, max_level=cap)
 
 
 def test_single_order_cap_reaches_past_the_singular_level():
