@@ -219,8 +219,7 @@ def cmd_dims(args) -> int:
 
 def cmd_cartan(args) -> int:
     r = parse_rational(args.r)
-    c = [parse_rational(part) for part in args.c.split(",") if part.strip()] \
-        if args.c else []
+    c = [parse_rational(part) for part in args.c.split(",")] if args.c else []
     hm = cartan_modules.build_h_module(args.n, r, c)
     report = cartan_modules.classify(hm)
     payload = report.to_json()

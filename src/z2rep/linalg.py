@@ -30,7 +30,10 @@ def _int_rows(rows) -> list[list[int]]:
     return [_int_row(row)[0] for row in rows]
 
 
-def echelon(rows_int: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+Piece = tuple[list[list[int]], list[int]]  # integer echelon rows, pivot columns
+
+
+def echelon(rows_int: list[list[int]]) -> Piece:
     """Integer row echelon form; returns (nonzero rows, pivot columns).
 
     Pivot choice: smallest nonzero |entry| in the column, first row on ties.

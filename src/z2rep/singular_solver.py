@@ -8,9 +8,9 @@ closed forms, the predictions of `find_singular` and the submodule W all read
 their orders from it.  Three independent routes are implemented and
 cross-checked:
 
-* `find_singular` — assemble the exact matrix of (am, atm) restricted to one
-  degree sector of one level and compute its null space by fraction-free
-  elimination;
+* `find_singular` — the null space of (am, atm) on one degree sector of one
+  level, by fraction-free elimination in `lowering_kernel`, which the
+  quotient check of `submodule_quotient` also calls, modulo a submodule W;
 * `closed_form` — evaluate the explicit binomial-weighted combinations that
   exist at level 2M+1 (odd sectors) and at level 2(2M+1) in the (1,1) sector
   of the one-dimensional family, placed on the kets that
@@ -30,7 +30,7 @@ from . import linalg
 from .graded_algebra import DEGREE, Degree, degree_add
 from .rationals import format_rational
 from .verma import (Ket, VermaModule, Vector, act, action_rows, sector_kets,
-                    vector_to_json, zero_vector)
+                    vector_to_json)
 
 ODD_SECTORS: tuple[Degree, ...] = ((0, 1), (1, 0))
 EVEN_SECTORS: tuple[Degree, ...] = ((0, 0), (1, 1))
@@ -187,38 +187,45 @@ class SingularReport:
         return out
 
 
-def lowering_map(module: VermaModule, level: int, sector: Degree, kets: list[Ket],
-                 modulo: dict[Degree, tuple[list[list[int]], list[int]]] | None = None,
-                 ) -> list[list[int]]:
-    """Stacked images of the lowering pair (am, atm), one integer row per ket.
+def lowering_kernel(module: VermaModule, level: int, sector: Degree,
+                    w: dict[int, dict[Degree, linalg.Piece]],
+                    ) -> tuple[list[Ket], list[list[Fraction]]]:
+    """Kernel of the lowering pair (am, atm) on one sector of V_level / W_level.
 
-    The kets lie in `sector` of `level`.  am and atm each map that sector into
-    one sector of level-1; a row holds the am image over the kets of its
-    target sector, then the atm image over the kets of its own.  Entries are
-    multiplied by den(r) * den(lambda), which makes them integers.
-
-    With `modulo`, the integer echelon rows and pivots of a subspace of
-    level-1 per sector, each image is reduced modulo that subspace and only
-    its coordinates off the pivots are kept.
+    `w` holds a submodule W per level and sector, as `Submodule.pieces` does;
+    `find_singular` passes {} for W = 0.  The kets of the sector off W's
+    pivots span a complement of W.  Each gives one integer row: its am image
+    over the kets of its target sector of level-1, then its atm image over
+    the kets of its own, scaled by den(r) * den(lambda).  The row is reduced
+    as one row modulo W at level-1, stacked on the same columns, so one
+    integer factor scales the whole row; the columns off W's pivots are kept.
+    Returns the complement kets and an RREF basis of the kernel on them.
     """
     scale = module.r.denominator * (module.lam.denominator if module.lam is not None else 1)
-    blocks = []
+    pivots = w.get(level, {}).get(sector, ([], []))[1]
+    kets = [ket for j, ket in enumerate(sector_kets(module, level, sector))
+            if j not in pivots]
+    rows: list[list[int]] = [[] for _ in kets]
+    ech: list[list[int]] = []  # W at level-1, on the same columns as the rows
+    ech_pivots: list[int] = []
+    width = 0
     for gen in ("am", "atm"):
         target = degree_add(sector, DEGREE[gen])
         targets = sector_kets(module, level - 1, target)
-        block = []
-        for image in action_rows(module, gen, kets, targets, scale):
-            v = [0] * len(targets)
+        below, below_pivots = w.get(level - 1, {}).get(target, ([], []))
+        ech = [row + [0] * len(targets) for row in ech] + [[0] * width + row for row in below]
+        ech_pivots += [width + pc for pc in below_pivots]
+        for row, image in zip(rows, action_rows(module, gen, kets, targets, scale)):
+            row += [0] * len(targets)
             for t, c in image:
-                v[t] = c
-            block.append(v)
-        if modulo is not None:
-            ech, pivots = modulo.get(target, ([], []))
-            keep = [j for j in range(len(targets)) if j not in pivots]
-            block = [[red[j] for j in keep]
-                     for red in (linalg.reduce_mod_echelon(ech, pivots, v) for v in block)]
-        blocks.append(block)
-    return [a + b for a, b in zip(*blocks)]
+                row[width + t] = c
+        width += len(targets)
+    keep = [j for j in range(width) if j not in ech_pivots]
+    rows = [[red[j] for j in keep]
+            for red in (linalg.reduce_mod_echelon(ech, ech_pivots, row) for row in rows)]
+    if len(linalg.echelon(rows)[1]) == len(kets):
+        return kets, []
+    return kets, linalg.nullspace(list(zip(*rows)), len(kets))
 
 
 def find_singular(module: VermaModule, level: int, sector: Degree) -> SingularReport:
@@ -227,12 +234,8 @@ def find_singular(module: VermaModule, level: int, sector: Degree) -> SingularRe
         raise ValueError("level must be positive")
     if sector not in sectors_for_level(level):
         raise ValueError(f"sector {sector} does not occur at level {level}")
-    kets = sector_kets(module, level, sector)
-    vectors: list[Vector] = []
-    if kets:
-        images = lowering_map(module, level, sector, kets)
-        for coords in linalg.nullspace(list(zip(*images)), len(kets)):
-            vectors.append(Vector(module, dict(zip(kets, coords))))
+    kets, kernel = lowering_kernel(module, level, sector, {})
+    vectors = [Vector(module, dict(zip(kets, coords))) for coords in kernel]
     predicted = applicable_closed_form(module, level, sector)
     if predicted is None:
         match = "no-closed-form" if not vectors else "mismatch"

@@ -26,7 +26,7 @@ from math import comb, lcm
 from . import linalg
 from .graded_algebra import DEGREE, Degree, degree_add
 from .rationals import format_rational
-from .singular_solver import (closed_form, detect_singular_orders, lowering_map,
+from .singular_solver import (closed_form, detect_singular_orders, lowering_kernel,
                               sectors_for_level)
 from .verma import (Ket, VermaModule, Vector, act_word, action_rows,
                     enumerate_level, sector_kets)
@@ -83,9 +83,6 @@ def submodule_basis(module: VermaModule, M: int, q: int) -> list[Vector]:
     return vectors
 
 
-Piece = tuple[list[list[int]], list[int]]  # integer echelon rows, pivot columns
-
-
 @dataclass
 class Submodule:
     """W level by level and sector by sector.
@@ -96,7 +93,7 @@ class Submodule:
     the lowest singular level are absent: W is zero there.
     """
     module: VermaModule
-    pieces: dict[int, dict[Degree, Piece]]
+    pieces: dict[int, dict[Degree, linalg.Piece]]
 
     def dim(self, n: int) -> int:
         return sum(len(rows) for rows, _ in self.pieces.get(n, {}).values())
@@ -124,7 +121,7 @@ def build_submodule(module: VermaModule, max_level: int) -> Submodule:
     for M in detect_singular_orders(module):
         if 2 * M + 1 <= max_level:
             seeds.setdefault(2 * M + 1, []).extend(singular_pair(module, M))
-    pieces: dict[int, dict[Degree, Piece]] = {}
+    pieces: dict[int, dict[Degree, linalg.Piece]] = {}
     kets_below: dict[Degree, list[Ket]] = {}
     for n in range(min(seeds, default=max_level + 1), max_level + 1):
         level = pieces[n] = {}
@@ -259,21 +256,12 @@ class ClassificationVerdict:
 def _quotient_has_no_singular(w: Submodule, n: int) -> bool:
     """Kernel of the lowering pair on the level-n quotient V_n / W_n is zero.
 
-    Checked sector by sector, over integers: the kets off W's pivots span a
-    complement of W in each sector, and their am and atm images modulo W at
-    level n-1 must be linearly independent.
+    Checked sector by sector, over integers, by `lowering_kernel`: the kets
+    off W's pivots span a complement of W, and their am and atm images,
+    reduced together modulo W at level n-1, must be linearly independent.
     """
-    module = w.module
-    for sector in sectors_for_level(n):
-        _, pivots = w.pieces.get(n, {}).get(sector, ([], []))
-        free = [ket for j, ket in enumerate(sector_kets(module, n, sector))
-                if j not in pivots]
-        if not free:
-            continue
-        images = lowering_map(module, n, sector, free, modulo=w.pieces.get(n - 1, {}))
-        if len(linalg.echelon(images)[1]) < len(free):
-            return False
-    return True
+    return not any(lowering_kernel(w.module, n, sector, w.pieces)[1]
+                   for sector in sectors_for_level(n))
 
 
 def classify_module(module: VermaModule,

@@ -190,6 +190,12 @@ def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
         assert code == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("c_args", [("--c", "1,,2"), ("--c=,1,2",), ("--c", "1,2,")])
+def test_empty_c_field_is_a_usage_error(c_args, capsys):
+    code, out, err = run_cli(capsys, "cartan", "--n", "5", "--r", "0", *c_args)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["singular", "--kind", "mr", "--r", "1"])  # --level/--sweep missing

@@ -266,6 +266,23 @@ def test_failed_quotient_check_raises_on_two_order_module(monkeypatch):
             classify_module(module, max_level=cap)
 
 
+@pytest.mark.parametrize("module", [
+    mr(Fraction(1, 3)), mr(Fraction(-7, 5)), mr(5),
+    mrl(Fraction(1, 3), Fraction(5, 7)), mrl(Fraction(-7, 5), 2), mrl(1, 3),
+    mrl(Fraction(-1, 3), -4),
+    mrl(Fraction(1, 3), Fraction(49, 9)), mrl(Fraction(-5, 2), Fraction(9, 4)),
+    mrl(Fraction(2, 5), Fraction(1024, 25)),
+], ids=lambda m: f"{m.kind}-r{m.r}-l{m.lam}")
+def test_infinite_verdict_tables_are_the_irreducible_quotient(module):
+    # cases i, iii and single-order iv: V/W has no singular vector at any
+    # level of the table, so W is the maximal submodule through the cap
+    verdict = classify_module(module)
+    assert verdict.dimension is None
+    top = max(row["level"] for row in verdict.per_level)
+    w = build_submodule(module, top)
+    assert all(submodule_quotient._quotient_has_no_singular(w, n) for n in range(1, top + 1))
+
+
 def test_single_order_cap_reaches_past_the_singular_level():
     verdict = classify_module(mrl(1, 1), max_level=0)
     assert verdict.case == "iv" and verdict.M == 0 and verdict.dimension is None

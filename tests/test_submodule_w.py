@@ -11,9 +11,9 @@ from fractions import Fraction
 import pytest
 
 from z2rep import linalg
-from z2rep.submodule_quotient import (_quotient_has_no_singular, build_submodule,
-                                      classify_module, detect_singular_orders,
-                                      singular_pair)
+from z2rep.submodule_quotient import (Submodule, _quotient_has_no_singular,
+                                      build_submodule, classify_module,
+                                      detect_singular_orders, singular_pair)
 from z2rep.verma import VermaModule, Vector, act, enumerate_level, sector_kets
 
 
@@ -112,3 +112,20 @@ def test_builder_matches_fraction_bfs(module, cap):
     else:
         expected = False
     assert expected == (verdict.dimension is not None)
+
+
+@pytest.mark.parametrize("module", [
+    mr(-8), mrl(Fraction(1, 3), Fraction(49, 9)), mrl(Fraction(-5, 2), Fraction(9, 4)),
+    mrl(Fraction(2, 5), Fraction(1024, 25)), mrl(-5, 9), mrl(-3, 1)],
+    ids=lambda m: f"{m.kind}-r{m.r}-l{m.lam}")
+def test_quotient_check_fails_when_a_level_of_w_is_missing(module):
+    # with level n cut from W, the quotient at n is all of V_n, and W_n, which
+    # lowers into W_(n-1), lies in the kernel the check must find
+    top = max(row["level"] for row in classify_module(module).per_level)
+    w = build_submodule(module, top)
+    old = bfs_span_dims(module, top, detect_singular_orders(module))
+    for n in w.pieces:
+        cut = Submodule(module, {k: v for k, v in w.pieces.items() if k != n})
+        old_cut = {k: v for k, v in old.items() if k != n}
+        assert _quotient_has_no_singular(cut, n) == fraction_quotient_check(module, old_cut, n), \
+            f"level {n}"
