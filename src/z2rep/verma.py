@@ -8,11 +8,16 @@ Ltp applied to the lowest weight vector — plus a lowest-weight label beta for
 the two-dimensional family.  Higher powers of atp never appear because
 atp^2 = -ap^2 = -2*Lp inside the enveloping algebra.
 
-The four odd generators ap, am, atp and atm act by explicit formulas over
-Fractions.  Each even generator X is one bracket [[g1, g2]] = c X of two odd
-ones in the structure table and acts as that graded commutator over c (so
-Lp = -atp^2/2, Lm = am^2/2); `representation_residual`, vanishing on every
-generator pair, certifies that the four formulas define a representation.
+The four odd generators ap, am, atp and atm act by explicit formulas, held
+in one integer table per module kind, generator and ket that does not depend
+on r or lambda: each coefficient is c1 + cr*r + cl*lambda (ap and atp have
+cr = cl = 0).  `action_rows` reads integer matrices straight off that table,
+so every module of a kind shares it.  `_ket_action` evaluates it at one
+module's r and lambda as Fractions, cached per module.  Each even generator
+X is one bracket [[g1, g2]] = c X of two odd ones in the structure table and
+acts as that graded commutator over c (so Lp = -atp^2/2, Lm = am^2/2);
+`representation_residual`, vanishing on every generator pair, certifies that
+the four formulas define a representation.
 """
 
 from __future__ import annotations
@@ -170,19 +175,31 @@ _EVEN_FROM_ODD: dict[str, tuple[str, str]] = {
 
 
 @lru_cache(maxsize=None)
-def _ket_action(kind: str, r: Fraction, lam: Fraction | None,
-                gen: str, ket: Ket) -> tuple[tuple[Ket, Fraction], ...]:
-    """Image of one basis ket under one generator, as ((ket, coeff), ...)."""
+def _odd_action(kind: str, gen: str, ket: Ket) -> tuple[tuple[Ket, int, int, int], ...]:
+    """Image of one basis ket under one odd generator, for every r and lambda.
+
+    Returns ((ket, c1, cr, cl), ...), in no particular order: each
+    coefficient is c1 + cr*r + cl*lambda, with integer c1, cr and cl.  The
+    coefficients are affine in r and lambda (lambda enters only as
+    lambda**beta, beta in {0, 1}), and those of ap and atp are constant, so
+    one table serves every module of a kind.  Filling it calls no public
+    function, so a traced replay counts the same calls whether or not the
+    table is already filled.
+    """
     a, k, m, b = ket
     kb = k % 2
     sgn = -1 if kb else 1  # (-1)^k
     mrl = kind == "MrLambda"
-    out: dict[Ket, int | Fraction] = {}
+    out: dict[Ket, tuple[int, int, int]] = {}
 
-    def put(a2, k2, m2, b2, coeff):
-        if coeff and k2 >= 0 and m2 >= 0:
-            key = Ket(a2, k2, m2, b2)
-            out[key] = out.get(key, 0) + coeff
+    def put(a2, k2, m2, b2, c1, cr=0, cl=0):
+        # the target kets of one image are distinct
+        if (c1 or cr or cl) and k2 >= 0 and m2 >= 0:
+            out[Ket(a2, k2, m2, b2)] = (c1, cr, cl)
+
+    def put_lam(a2, k2, m2, b2, c):
+        # c * lambda**b
+        put(a2, k2, m2, b2, 0 if b else c, 0, c if b else 0)
 
     if gen == "atp":
         put(1 - a, k + 2 * a, m, b, -1 if a else 1)
@@ -195,25 +212,36 @@ def _ket_action(kind: str, r: Fraction, lam: Fraction | None,
             put(1, k - 2, m, b, -(k - kb))
             put(0, k + 1, m - 1, b, sgn * m)
             if mrl:
-                put(0, k - 1, m, 1 - b, -2 * kb * lam ** b)
+                put_lam(0, k - 1, m, 1 - b, -2 * kb)
         else:
-            put(0, k, m, b, 2 * r + k + kb + 4 * m)
+            put(0, k, m, b, k + kb + 4 * m, 2)
             put(1, k + 1, m - 1, b, -sgn * m)
             if mrl:
-                put(1, k - 1, m, 1 - b, 2 * kb * lam ** b)
+                put_lam(1, k - 1, m, 1 - b, 2 * kb)
     elif gen == "am":
         if a == 0:
-            put(0, k - 1, m, b, k + (2 * r - 1) * kb)
+            put(0, k - 1, m, b, k - kb, 2 * kb)
             put(1, k, m - 1, b, -sgn * m)
         else:
-            put(1, k - 1, m, b, k + (2 * r - 3) * kb)
+            put(1, k - 1, m, b, k - 3 * kb, 2 * kb)
             put(0, k + 2, m - 1, b, -sgn * m)
             put(0, k - 2, m + 1, b, -sgn * 4 * (k - kb))
             if mrl:
                 # coefficient forced by [am, atp] = -2 Rt on the lowest
                 # weight space; certified by representation_residual
-                put(0, k, m, 1 - b, -sgn * 2 * lam ** b)
-    elif gen in _EVEN_FROM_ODD:
+                put_lam(0, k, m, 1 - b, -sgn * 2)
+    else:
+        raise ValueError(f"unknown odd generator {gen!r}")
+
+    return tuple((key, *c) for key, c in out.items())
+
+
+@lru_cache(maxsize=None)
+def _ket_action(kind: str, r: Fraction, lam: Fraction | None,
+                gen: str, ket: Ket) -> tuple[tuple[Ket, Fraction], ...]:
+    """Image of one basis ket under one generator, as ((ket, coeff), ...)."""
+    out: dict[Ket, int | Fraction] = {}
+    if gen in _EVEN_FROM_ODD:
         # [[g1, g2]] = c X, so X = (g1 g2 - (-1)^{deg g1 . deg g2} g2 g1) / c
         g1, g2 = _EVEN_FROM_ODD[gen]
         c = STRUCTURE_TABLE[(g1, g2)].terms[gen]
@@ -223,7 +251,8 @@ def _ket_action(kind: str, r: Fraction, lam: Fraction | None,
                 for fin, c2 in _ket_action(kind, r, lam, then, mid):
                     out[fin] = out.get(fin, 0) + scale * c1 * c2
     else:
-        raise ValueError(f"unknown generator {gen!r}")
+        for key, c1, cr, cl in _odd_action(kind, gen, ket):
+            out[key] = c1 + (cr * r if cr else 0) + (cl * lam if cl else 0)
 
     return tuple((key, Fraction(c)) for key, c
                  in sorted(out.items(), key=lambda it: ket_sort_key(it[0])) if c)
@@ -241,21 +270,31 @@ def act(gen: str, vec: Vector) -> Vector:
 
 def action_rows(module: VermaModule, gen: str, kets: list[Ket], targets: list[Ket],
                 scale: int = 1) -> list[list[tuple[int, int]]]:
-    """One generator as a sparse integer matrix: for each ket, the pairs
+    """One odd generator as a sparse integer matrix: for each ket, the pairs
     (index into targets, scale * coefficient) of its image.
 
-    The image of every ket must lie in the span of `targets`, and `scale`
-    must clear every denominator of the coefficients.
+    Read off the integer table of `_odd_action`: with r = p/q and
+    lambda = u/v, scale * (c1 + cr*r + cl*lambda) is
+    (c1*qv + cr*pv + cl*qu) * scale / qv, computed in integers.  The image
+    of every ket must lie in the span of `targets`, and `scale` must clear
+    every denominator of the coefficients.
     """
+    lam = module.lam if module.lam is not None else Fraction(0)
+    p, q, u, v = module.r.numerator, module.r.denominator, lam.numerator, lam.denominator
+    den = q * v
+    w1, wr, wl = den * scale, p * v * scale, q * u * scale
     index = {ket: i for i, ket in enumerate(targets)}
     out = []
     for ket in kets:
         row = []
-        for tket, c in _ket_action(module.kind, module.r, module.lam, gen, ket):
-            q, rem = divmod(c.numerator * scale, c.denominator)
+        for tket, c1, cr, cl in _odd_action(module.kind, gen, ket):
+            scaled = c1 * w1 + cr * wr + cl * wl
+            c, rem = divmod(scaled, den)
             if rem:
-                raise ValueError(f"scale {scale} leaves {gen} coefficient {c * scale}")
-            row.append((index[tket], q))
+                raise ValueError(f"scale {scale} leaves {gen} coefficient "
+                                 f"{Fraction(scaled, den)}")
+            if c:
+                row.append((index[tket], c))
         out.append(row)
     return out
 

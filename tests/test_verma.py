@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 
@@ -5,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from z2rep import verma
 from z2rep.graded_algebra import AD_WEIGHT, DEGREE, GENERATORS, degree_add
+from z2rep.singular_solver import find_singular, sectors_for_level
 from z2rep.verma import (Ket, VermaModule, Vector, act, act_element,
-                         act_word, action_rows, enumerate_level,
+                         act_word, action_rows, enumerate_level, ket_sort_key,
                          representation_residual, sector_kets, vector_to_json,
                          zero_vector)
 from z2rep.graded_algebra import Element
@@ -227,6 +230,13 @@ def test_zero_vector():
     (VermaModule("Mr", Fraction(-5, 4)), "atm", 4, 1),
     (VermaModule("MrLambda", Fraction(2, 7), Fraction(-5, 3)), "am", 21, 7),
     (VermaModule("MrLambda", Fraction(2, 7), Fraction(-5, 3)), "atm", 21, 3),
+    # den(r) and den(lambda) share a factor: the coefficients are 2r = 5/3
+    # and 2*lambda = -7/2 plus integers, so 24 = den(r) * den(lambda) and
+    # their lcm 6 clear them, and 3 and 2 do not
+    (VermaModule("MrLambda", Fraction(5, 6), Fraction(-7, 4)), "am", 24, 3),
+    (VermaModule("MrLambda", Fraction(5, 6), Fraction(-7, 4)), "atm", 6, 2),
+    (VermaModule("MrLambda", Fraction(-3), Fraction(-2)), "am", 1, None),
+    (VermaModule("MrLambda", Fraction(-3), Fraction(-2)), "atm", 1, None),
 ])
 def test_action_rows_scale_clears_denominators(module, gen, good_scale, bad_scale):
     kets = list(enumerate_level(module, 5))
@@ -236,5 +246,60 @@ def test_action_rows_scale_clears_denominators(module, gen, good_scale, bad_scal
         image = act(gen, Vector(module, {ket: 1}))
         assert all(type(c) is int for _, c in row)
         assert {targets[t]: Fraction(c, good_scale) for t, c in row} == image.terms
-    with pytest.raises(ValueError, match=f"scale {bad_scale} leaves {gen}"):
-        action_rows(module, gen, kets, targets, bad_scale)
+    if bad_scale is not None:
+        with pytest.raises(ValueError, match=f"scale {bad_scale} leaves {gen}"):
+            action_rows(module, gen, kets, targets, bad_scale)
+
+
+def test_lowering_assembly_reads_one_table_per_kind():
+    # the odd-generator table does not depend on r or lambda: a second
+    # module of a kind adds no entry, and lowering assembly never fills the
+    # per-module action cache
+    verma._odd_action.cache_clear()
+    verma._ket_action.cache_clear()
+    generic = {"Mr": [(Fraction(1, 3),), (Fraction(-7, 5),)],
+               "MrLambda": [(Fraction(1, 3), Fraction(5, 7)), (Fraction(-7, 5), Fraction(2))]}
+    for kind, params in generic.items():
+        sizes = []
+        for args in params:
+            module = VermaModule(kind, *args)
+            for n in range(1, 13):
+                for sector in sectors_for_level(n):
+                    assert not find_singular(module, n, sector).nullspace
+            sizes.append(verma._odd_action.cache_info().currsize)
+        assert 0 < sizes[1] <= sizes[0]
+    assert verma._ket_action.cache_info().currsize == 0
+
+
+def test_filling_the_odd_table_calls_no_public_function(monkeypatch):
+    # the table outlives a module, so its first fill must not show up as
+    # extra calls of public verma functions to a per-call tracer
+    def refuse(*args, **kwargs):
+        raise AssertionError("public function called while filling the table")
+
+    for name, obj in list(vars(verma).items()):
+        if inspect.isfunction(obj) and obj.__module__ == verma.__name__ \
+                and not name.startswith("_"):
+            monkeypatch.setattr(verma, name, refuse)
+    verma._odd_action.cache_clear()
+    for module in (MR, MRL):
+        for ket in enumerate_level(module, 7):
+            for gen in ("ap", "am", "atp", "atm"):
+                verma._odd_action(module.kind, gen, ket)
+
+
+@pytest.mark.parametrize("module", [MR, MRL], ids=["Mr", "MrLambda"])
+def test_ap_leading_term_is_the_shifted_ket(module):
+    # the leading-term lemma behind building W by leading terms: the lowest
+    # ket of ap(alpha, k, m[, beta]) is (alpha, k+1, m[, beta]) with
+    # coefficient 1, for every r and lambda
+    for n in range(31):
+        shifted = []
+        for ket in enumerate_level(module, n):
+            image = verma._odd_action(module.kind, "ap", ket)
+            lead = min(image, key=lambda term: ket_sort_key(term[0]))
+            assert lead == (ket._replace(k=ket.k + 1), 1, 0, 0)
+            shifted.append(lead[0])
+        # the shift is an order-preserving injection of level n into n+1
+        hit = set(shifted)
+        assert shifted == [ket for ket in enumerate_level(module, n + 1) if ket in hit]
