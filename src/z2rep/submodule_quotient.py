@@ -28,14 +28,10 @@ from .graded_algebra import DEGREE, Degree, degree_add
 from .rationals import format_rational
 from .singular_solver import (closed_form, detect_singular_orders, lowering_kernel,
                               sectors_for_level)
-from .verma import (Ket, VermaModule, Vector, act_word, action_rows,
+from .verma import (ConsistencyError, Ket, VermaModule, Vector, act_word, action_rows,
                     enumerate_level, sector_kets)
 
 MAX_LEVEL = 200  # highest level a table, a sweep or a classification may reach
-
-
-class ConsistencyError(RuntimeError):
-    """An internal cross-check that should be a theorem failed."""
 
 
 def singular_pair(module: VermaModule, M: int) -> tuple[Vector, Vector]:

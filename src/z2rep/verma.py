@@ -8,16 +8,15 @@ Ltp applied to the lowest weight vector — plus a lowest-weight label beta for
 the two-dimensional family.  Higher powers of atp never appear because
 atp^2 = -ap^2 = -2*Lp inside the enveloping algebra.
 
-The four odd generators ap, am, atp and atm act by explicit formulas, held
-in one integer table per module kind, generator and ket that does not depend
-on r or lambda: each coefficient is c1 + cr*r + cl*lambda (ap and atp have
-cr = cl = 0).  `action_rows` reads integer matrices straight off that table,
-so every module of a kind shares it.  `_ket_action` evaluates it at one
-module's r and lambda as Fractions, cached per module.  Each even generator
-X is one bracket [[g1, g2]] = c X of two odd ones in the structure table and
-acts as that graded commutator over c (so Lp = -atp^2/2, Lm = am^2/2);
-`representation_residual`, vanishing on every generator pair, certifies that
-the four formulas define a representation.
+The four odd generators ap, am, atp and atm act by explicit formulas.  Each
+even generator X is one bracket [[g1, g2]] = c X of two odd ones in the
+structure table and acts as that graded commutator over c (so Lp = -atp^2/2,
+Lm = am^2/2).  All ten actions live in one table, `_action`, keyed on module
+kind, generator and ket but not on r or lambda: it stores each coefficient
+doubled, as c1 + cr*r + cl*lambda in integers.  `act` (in Fractions) and
+`action_rows` (integer matrices) evaluate it with one module's integer
+weights from `_weights`.  `representation_residual`, vanishing on every
+generator pair, certifies that the four formulas define a representation.
 """
 
 from __future__ import annotations
@@ -167,24 +166,29 @@ def zero_vector(module: VermaModule) -> Vector:
     return Vector(module, {})
 
 
-# each even generator X as the bracket [[g1, g2]] = c X of two odd ones
-_EVEN_FROM_ODD: dict[str, tuple[str, str]] = {
-    "R": ("ap", "am"), "Rt": ("ap", "atm"), "Lp": ("atp", "atp"),
-    "Lm": ("am", "am"), "Ltp": ("ap", "atp"), "Ltm": ("am", "atm"),
-}
+class ConsistencyError(RuntimeError):
+    """An internal cross-check that should be a theorem failed."""
+
+
+# each even generator X as (g1, g2, s, c): [[g1, g2]] = c X, s = (-1)^{deg g1 . deg g2};
+# read once here, so that filling the action table calls no public function
+_EVEN_FROM_ODD: dict[str, tuple[str, str, int, int]] = {
+    x: (g1, g2, -1 if degree_dot(DEGREE[g1], DEGREE[g2]) else 1,
+        int(STRUCTURE_TABLE[(g1, g2)].terms[x]))
+    for x, g1, g2 in (("R", "ap", "am"), ("Rt", "ap", "atm"), ("Lp", "atp", "atp"),
+                      ("Lm", "am", "am"), ("Ltp", "ap", "atp"), ("Ltm", "am", "atm"))}
 
 
 @lru_cache(maxsize=None)
-def _odd_action(kind: str, gen: str, ket: Ket) -> tuple[tuple[Ket, int, int, int], ...]:
-    """Image of one basis ket under one odd generator, for every r and lambda.
+def _action(kind: str, gen: str, ket: Ket) -> tuple[tuple[Ket, int, int, int], ...]:
+    """Image of one basis ket under one generator, for every r and lambda.
 
     Returns ((ket, c1, cr, cl), ...), in no particular order: each
-    coefficient is c1 + cr*r + cl*lambda, with integer c1, cr and cl.  The
-    coefficients are affine in r and lambda (lambda enters only as
-    lambda**beta, beta in {0, 1}), and those of ap and atp are constant, so
-    one table serves every module of a kind.  Filling it calls no public
-    function, so a traced replay counts the same calls whether or not the
-    table is already filled.
+    coefficient is (c1 + cr*r + cl*lambda) / 2, with integer c1, cr and cl.
+    lambda enters only as lambda**beta, ap and atp do not depend on r or
+    lambda, and in each even image the r**2, r*lambda and lambda**2 parts
+    cancel, leaving halves.  Filling the table calls no public function, so
+    a traced replay counts the same calls whether or not it is filled.
     """
     a, k, m, b = ket
     kb = k % 2
@@ -195,13 +199,31 @@ def _odd_action(kind: str, gen: str, ket: Ket) -> tuple[tuple[Ket, int, int, int
     def put(a2, k2, m2, b2, c1, cr=0, cl=0):
         # the target kets of one image are distinct
         if (c1 or cr or cl) and k2 >= 0 and m2 >= 0:
-            out[Ket(a2, k2, m2, b2)] = (c1, cr, cl)
+            out[Ket(a2, k2, m2, b2)] = (2 * c1, 2 * cr, 2 * cl)
 
     def put_lam(a2, k2, m2, b2, c):
         # c * lambda**b
         put(a2, k2, m2, b2, 0 if b else c, 0, c if b else 0)
 
-    if gen == "atp":
+    if gen in _EVEN_FROM_ODD:
+        g1, g2, s, c = _EVEN_FROM_ODD[gen]
+        # on doubled entries, doubled X = (g1 g2 - s g2 g1) / 2c; each sum
+        # holds the parts in 1, r, lambda, r**2, r*lambda and lambda**2
+        sums: dict[Ket, list[int]] = {}
+        for first, then, sign in ((g2, g1, 1), (g1, g2, -s)):
+            for mid, p1, pr, pl in _action(kind, first, ket):
+                for fin, q1, qr, ql in _action(kind, then, mid):
+                    acc = sums.setdefault(fin, [0] * 6)
+                    for i, x in enumerate((p1 * q1, p1 * qr + pr * q1, p1 * ql + pl * q1,
+                                           pr * qr, pr * ql + pl * qr, pl * ql)):
+                        acc[i] += sign * x
+        for fin, acc in sums.items():
+            (c1, e1), (cr, er), (cl, el) = (divmod(x, 2 * c) for x in acc[:3])
+            if e1 or er or el or any(acc[3:]):
+                raise ConsistencyError(f"{gen} on {kind} {ket} is not integer halves: {acc}")
+            if c1 or cr or cl:
+                out[fin] = (c1, cr, cl)
+    elif gen == "atp":
         put(1 - a, k + 2 * a, m, b, -1 if a else 1)
     elif gen == "ap":
         put(a, k + 1, m, b, 1)
@@ -231,63 +253,44 @@ def _odd_action(kind: str, gen: str, ket: Ket) -> tuple[tuple[Ket, int, int, int
                 # weight space; certified by representation_residual
                 put_lam(0, k, m, 1 - b, -sgn * 2)
     else:
-        raise ValueError(f"unknown odd generator {gen!r}")
+        raise ValueError(f"unknown generator {gen!r}")
 
-    return tuple((key, *c) for key, c in out.items())
+    return tuple((key, *coeffs) for key, coeffs in out.items())
 
 
-@lru_cache(maxsize=None)
-def _ket_action(kind: str, r: Fraction, lam: Fraction | None,
-                gen: str, ket: Ket) -> tuple[tuple[Ket, Fraction], ...]:
-    """Image of one basis ket under one generator, as ((ket, coeff), ...)."""
-    out: dict[Ket, int | Fraction] = {}
-    if gen in _EVEN_FROM_ODD:
-        # [[g1, g2]] = c X, so X = (g1 g2 - (-1)^{deg g1 . deg g2} g2 g1) / c
-        g1, g2 = _EVEN_FROM_ODD[gen]
-        c = STRUCTURE_TABLE[(g1, g2)].terms[gen]
-        sign = -1 if degree_dot(DEGREE[g1], DEGREE[g2]) else 1
-        for first, then, scale in ((g2, g1, 1 / c), (g1, g2, -sign / c)):
-            for mid, c1 in _ket_action(kind, r, lam, first, ket):
-                for fin, c2 in _ket_action(kind, r, lam, then, mid):
-                    out[fin] = out.get(fin, 0) + scale * c1 * c2
-    else:
-        for key, c1, cr, cl in _odd_action(kind, gen, ket):
-            out[key] = c1 + (cr * r if cr else 0) + (cl * lam if cl else 0)
-
-    return tuple((key, Fraction(c)) for key, c
-                 in sorted(out.items(), key=lambda it: ket_sort_key(it[0])) if c)
+def _weights(module: VermaModule, scale: int = 1) -> tuple[int, int, int, int]:
+    """(w1, wr, wl, den) with scale * (c1 + cr*r + cl*lambda) / 2 equal to
+    (c1*w1 + cr*wr + cl*wl) / den, in integers: for r = p/q and lambda = u/v,
+    den = 2qv and the weights of 1, r and lambda are scale times qv, pv, qu."""
+    lam = module.lam if module.lam is not None else Fraction(0)
+    p, q, u, v = module.r.numerator, module.r.denominator, lam.numerator, lam.denominator
+    return q * v * scale, p * v * scale, q * u * scale, 2 * q * v
 
 
 def act(gen: str, vec: Vector) -> Vector:
     """Exact action of one generator, extended linearly over the terms."""
     mod = vec.module
+    w1, wr, wl, den = _weights(mod)
     out: dict[Ket, Fraction] = {}
     for ket, c in vec.terms.items():
-        for tket, tc in _ket_action(mod.kind, mod.r, mod.lam, gen, ket):
-            out[tket] = out.get(tket, Fraction(0)) + c * tc
-    return Vector(mod, out)
+        for tket, c1, cr, cl in _action(mod.kind, gen, ket):
+            out[tket] = out.get(tket, 0) + c * (c1 * w1 + cr * wr + cl * wl)
+    return Vector(mod, {tket: c / den for tket, c in out.items()})
 
 
 def action_rows(module: VermaModule, gen: str, kets: list[Ket], targets: list[Ket],
                 scale: int = 1) -> list[list[tuple[int, int]]]:
-    """One odd generator as a sparse integer matrix: for each ket, the pairs
-    (index into targets, scale * coefficient) of its image.
-
-    Read off the integer table of `_odd_action`: with r = p/q and
-    lambda = u/v, scale * (c1 + cr*r + cl*lambda) is
-    (c1*qv + cr*pv + cl*qu) * scale / qv, computed in integers.  The image
-    of every ket must lie in the span of `targets`, and `scale` must clear
-    every denominator of the coefficients.
+    """One generator as a sparse integer matrix: for each ket, the pairs
+    (index into targets, scale * coefficient) of its image, read off `_action`
+    in integers.  The image of every ket must lie in the span of `targets`,
+    and `scale` must clear every denominator of the coefficients.
     """
-    lam = module.lam if module.lam is not None else Fraction(0)
-    p, q, u, v = module.r.numerator, module.r.denominator, lam.numerator, lam.denominator
-    den = q * v
-    w1, wr, wl = den * scale, p * v * scale, q * u * scale
+    w1, wr, wl, den = _weights(module, scale)
     index = {ket: i for i, ket in enumerate(targets)}
     out = []
     for ket in kets:
         row = []
-        for tket, c1, cr, cl in _odd_action(module.kind, gen, ket):
+        for tket, c1, cr, cl in _action(module.kind, gen, ket):
             scaled = c1 * w1 + cr * wr + cl * wl
             c, rem = divmod(scaled, den)
             if rem:

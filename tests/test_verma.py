@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from z2rep import verma
-from z2rep.graded_algebra import AD_WEIGHT, DEGREE, GENERATORS, degree_add
+from z2rep.graded_algebra import (AD_WEIGHT, DEGREE, GENERATORS, STRUCTURE_TABLE, degree_add,
+                                  degree_dot)
 from z2rep.singular_solver import find_singular, sectors_for_level
 from z2rep.verma import (Ket, VermaModule, Vector, act, act_element,
                          act_word, action_rows, enumerate_level, ket_sort_key,
@@ -252,11 +253,9 @@ def test_action_rows_scale_clears_denominators(module, gen, good_scale, bad_scal
 
 
 def test_lowering_assembly_reads_one_table_per_kind():
-    # the odd-generator table does not depend on r or lambda: a second
-    # module of a kind adds no entry, and lowering assembly never fills the
-    # per-module action cache
-    verma._odd_action.cache_clear()
-    verma._ket_action.cache_clear()
+    # the action table does not depend on r or lambda: a second module of a
+    # kind adds no entry
+    verma._action.cache_clear()
     generic = {"Mr": [(Fraction(1, 3),), (Fraction(-7, 5),)],
                "MrLambda": [(Fraction(1, 3), Fraction(5, 7)), (Fraction(-7, 5), Fraction(2))]}
     for kind, params in generic.items():
@@ -266,39 +265,87 @@ def test_lowering_assembly_reads_one_table_per_kind():
             for n in range(1, 13):
                 for sector in sectors_for_level(n):
                     assert not find_singular(module, n, sector).nullspace
-            sizes.append(verma._odd_action.cache_info().currsize)
+            sizes.append(verma._action.cache_info().currsize)
         assert 0 < sizes[1] <= sizes[0]
-    assert verma._ket_action.cache_info().currsize == 0
 
 
 def test_filling_the_odd_table_calls_no_public_function(monkeypatch):
     # the table outlives a module, so its first fill must not show up as
-    # extra calls of public verma functions to a per-call tracer
+    # extra calls of public engine functions to a per-call tracer, which
+    # wraps every public z2rep function that verma binds, imported ones too
     def refuse(*args, **kwargs):
         raise AssertionError("public function called while filling the table")
 
     for name, obj in list(vars(verma).items()):
-        if inspect.isfunction(obj) and obj.__module__ == verma.__name__ \
+        if inspect.isfunction(obj) and obj.__module__.startswith("z2rep.") \
                 and not name.startswith("_"):
             monkeypatch.setattr(verma, name, refuse)
-    verma._odd_action.cache_clear()
-    for module in (MR, MRL):
-        for ket in enumerate_level(module, 7):
-            for gen in ("ap", "am", "atp", "atm"):
-                verma._odd_action(module.kind, gen, ket)
+    assert verma.degree_dot is refuse
+    verma._action.cache_clear()
+    for kind in ("Mr", "MrLambda"):
+        for n in range(8):
+            for ket in verma._level_kets(kind, n):
+                for gen in GENERATORS:
+                    verma._action(kind, gen, ket)
+
+
+def test_action_table_fills_on_levels_0_to_40():
+    # every even entry is (c1 + cr*r + cl*lambda)/2 in integers, else the
+    # fill raises ConsistencyError
+    verma._action.cache_clear()
+    for kind in ("Mr", "MrLambda"):
+        for n in range(41):
+            for ket in verma._level_kets(kind, n):
+                for gen in GENERATORS:
+                    for _, *coeffs in verma._action(kind, gen, ket):
+                        assert all(type(c) is int for c in coeffs) and any(coeffs)
+
+
+def _poly_apply(kind, gen, vec):
+    """gen on {(ket, (i, j)): n}, n the integer coefficient of r**i lambda**j,
+    with every table coefficient doubled."""
+    out = {}
+    for (ket, (i, j)), n in vec.items():
+        for tket, *coeffs in verma._action(kind, gen, ket):
+            for (di, dj), c in zip(((0, 0), (1, 0), (0, 1)), coeffs):
+                key = (tket, (i + di, j + dj))
+                out[key] = out.get(key, 0) + c * n
+    return out
+
+
+def test_representation_holds_for_every_r_and_lambda():
+    # X Y - s Y X - [[X, Y]] = 0 on every ket of levels 0..8, all 100
+    # ordered pairs, as polynomials in r and lambda read off the table: the
+    # products carry the doubling twice, so the bracket term is doubled once
+    for kind in ("Mr", "MrLambda"):
+        for n in range(9):
+            for ket in verma._level_kets(kind, n):
+                once = {g: _poly_apply(kind, g, {(ket, (0, 0)): 1}) for g in GENERATORS}
+                for x in GENERATORS:
+                    for y in GENERATORS:
+                        s = -1 if degree_dot(DEGREE[x], DEGREE[y]) else 1
+                        terms = [(1, _poly_apply(kind, x, once[y])),
+                                 (-s, _poly_apply(kind, y, once[x]))]
+                        terms += [(-2 * c, once[g])
+                                  for g, c in STRUCTURE_TABLE[(x, y)].terms.items()]
+                        residual = {}
+                        for factor, image in terms:
+                            for key, c in image.items():
+                                residual[key] = residual.get(key, 0) + factor * c
+                        assert not any(residual.values()), (kind, ket, x, y)
 
 
 @pytest.mark.parametrize("module", [MR, MRL], ids=["Mr", "MrLambda"])
 def test_ap_leading_term_is_the_shifted_ket(module):
     # the leading-term lemma behind building W by leading terms: the lowest
     # ket of ap(alpha, k, m[, beta]) is (alpha, k+1, m[, beta]) with
-    # coefficient 1, for every r and lambda
+    # coefficient 1 (stored doubled), for every r and lambda
     for n in range(31):
         shifted = []
         for ket in enumerate_level(module, n):
-            image = verma._odd_action(module.kind, "ap", ket)
+            image = verma._action(module.kind, "ap", ket)
             lead = min(image, key=lambda term: ket_sort_key(term[0]))
-            assert lead == (ket._replace(k=ket.k + 1), 1, 0, 0)
+            assert lead == (ket._replace(k=ket.k + 1), 2, 0, 0)
             shifted.append(lead[0])
         # the shift is an order-preserving injection of level n into n+1
         hit = set(shifted)
