@@ -17,7 +17,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import cartan_modules, graded_algebra, submodule_quotient
@@ -37,17 +37,18 @@ class RunConfig:
 CONFIG_ENV = "Z2REP_CONFIG"
 
 
-def load_run_config(environ=None) -> RunConfig:
-    environ = os.environ if environ is None else environ
-    path = environ.get(CONFIG_ENV)
+def load_run_config() -> RunConfig:
+    path = os.environ.get(CONFIG_ENV)
     if not path:
         return RunConfig()
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("the file must hold a JSON object")
-    cfg = RunConfig(**{key: data[key] for key in ("level_cap", "output_format",
-                                                  "output_path") if key in data})
+    unknown = sorted(set(data) - {f.name for f in fields(RunConfig)})
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}")
+    cfg = RunConfig(**data)
     if type(cfg.level_cap) is not int or not 0 < cfg.level_cap <= MAX_LEVEL:
         raise ValueError(
             f"level_cap must be an integer from 1 to {MAX_LEVEL}, got {cfg.level_cap!r}")
@@ -84,7 +85,10 @@ def parse_mutation(spec: str) -> tuple[tuple[str, str], graded_algebra.Element]:
             raise ValueError(f"unknown generator {g!r}")
     terms: dict[str, Fraction] = {}
     if rhs != "0":
-        for part in re.findall(r"[+-]?\s*[^+-]+", rhs):
+        parts = re.findall(r"[+-]?\s*[^+-]+", rhs)
+        if "".join(parts) != rhs:  # a stray sign matches no term
+            raise ValueError(f"cannot parse mutation {spec!r}")
+        for part in parts:
             part = part.replace(" ", "")
             sign = Fraction(1)
             if part.startswith("-"):
@@ -114,8 +118,7 @@ def _csv_text(fieldnames: list[str], rows: list[dict]) -> str:
 
 def _module_fields(module: VermaModule) -> dict:
     """The kind, r and lambda columns that lead every per-module CSV row."""
-    return {"kind": module.kind, "r": format_rational(module.r),
-            "lambda": format_rational(module.lam) if module.lam is not None else ""}
+    return {"lambda": "", **module.to_json()}
 
 
 def _emit(args, json_payload, csv_fieldnames, csv_rows) -> None:
@@ -189,7 +192,8 @@ def cmd_singular(args) -> int:
     _emit(args, payload,
           ["kind", "r", "lambda", "level", "sector", "nullspace_dim", "vectors",
            "closed_form_match", "rtilde_computed", "rtilde_stated"], rows)
-    failed = any(r.closed_form_match == "mismatch" for r in reports)
+    failed = any(r.closed_form_match == "mismatch" or r.rtilde_computed != r.rtilde_stated
+                 for r in reports)
     return 1 if failed else 0
 
 
@@ -197,10 +201,7 @@ def cmd_classify(args) -> int:
     module = _module_from_args(args)
     verdict = submodule_quotient.classify_module(module, max_level=args.max_level)
     payload = verdict.to_json()
-    summary = {**_module_fields(module), "case": verdict.case,
-               "M": verdict.M if verdict.M is not None else "",
-               "dimension": verdict.dimension if verdict.dimension is not None
-               else "infinite"}
+    summary = {"lambda": "", "M": "", **payload}
     rows = [{**summary, **row} for row in verdict.per_level]
     _emit(args, payload,
           ["kind", "r", "lambda", "case", "M", "dimension", "level", "verma_dim",
@@ -245,6 +246,10 @@ def build_parser(config: RunConfig) -> argparse.ArgumentParser:
                         default=config.output_format, help="output format")
     common.add_argument("--out", default=config.output_path,
                         help="write output to this path instead of stdout")
+    module_flags = argparse.ArgumentParser(add_help=False)
+    module_flags.add_argument("--kind", choices=("mr", "mrl"), required=True)
+    module_flags.add_argument("--r", required=True, help='rational, e.g. "-2" or "1/3"')
+    module_flags.add_argument("--lambda", dest="lam", help="rational, mrl only")
 
     parser = argparse.ArgumentParser(
         prog="z2rep",
@@ -262,32 +267,23 @@ def build_parser(config: RunConfig) -> argparse.ArgumentParser:
                        help="dump the structure-constant table")
     p.set_defaults(func=cmd_bracket_table)
 
-    p = sub.add_parser("singular", parents=[common],
+    p = sub.add_parser("singular", parents=[common, module_flags],
                        help="singular vectors by exact null-space computation")
     p.add_argument("--level-cap", dest="level_cap", type=int, default=config.level_cap,
                    help="largest level of a sweep")
-    p.add_argument("--kind", choices=("mr", "mrl"), required=True)
-    p.add_argument("--r", required=True, help='rational, e.g. "-2" or "1/3"')
-    p.add_argument("--lambda", dest="lam", help="rational, mrl only")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--level", type=int, help="single level to search")
     group.add_argument("--sweep", action="store_true",
                        help="search every level up to the level cap")
     p.set_defaults(func=cmd_singular)
 
-    p = sub.add_parser("classify", parents=[common],
+    p = sub.add_parser("classify", parents=[common, module_flags],
                        help="classification verdict for the irreducible quotient")
-    p.add_argument("--kind", choices=("mr", "mrl"), required=True)
-    p.add_argument("--r", required=True)
-    p.add_argument("--lambda", dest="lam")
     p.add_argument("--max-level", dest="max_level", type=int)
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("dims", parents=[common],
+    p = sub.add_parser("dims", parents=[common, module_flags],
                        help="per-level weight-space / submodule / quotient dimensions")
-    p.add_argument("--kind", choices=("mr", "mrl"), required=True)
-    p.add_argument("--r", required=True)
-    p.add_argument("--lambda", dest="lam")
     p.add_argument("--max-level", dest="max_level", type=int, default=config.level_cap)
     p.set_defaults(func=cmd_dims)
 

@@ -242,9 +242,8 @@ def verify_axioms(table: Table | None = None) -> AxiomReport:
     return AxiomReport(True, anti, deg, jac)
 
 
-def table_to_json(table: Table | None = None) -> list[dict]:
+def table_to_json() -> list[dict]:
     """All 100 ordered pairs as {x, y, result: [{gen, coeff}]} rows."""
-    tbl = STRUCTURE_TABLE if table is None else table
     rows = []
     for x in GENERATORS:
         for y in GENERATORS:
@@ -252,6 +251,6 @@ def table_to_json(table: Table | None = None) -> list[dict]:
                 "x": x,
                 "y": y,
                 "result": [{"gen": g, "coeff": format_rational(c)}
-                           for g, c in tbl[(x, y)].sorted_terms()],
+                           for g, c in STRUCTURE_TABLE[(x, y)].sorted_terms()],
             })
     return rows

@@ -57,13 +57,7 @@ def echelon(rows_int: list[list[int]]) -> Piece:
             v = rows[i][pc]
             if v == 0:
                 continue
-            new = [piv * a - v * b for a, b in zip(rows[i], rows[pr])]
-            g = 0
-            for a in new:
-                g = gcd(g, abs(a))
-            if g > 1:
-                new = [a // g for a in new]
-            rows[i] = new
+            rows[i] = _primitive([piv * a - v * b for a, b in zip(rows[i], rows[pr])])
         pivots.append(pc)
         pr += 1
         if pr == nrows:
@@ -235,7 +229,7 @@ def char_poly(a_rows) -> list[Fraction]:
 
 
 def _primitive(p: list[int]) -> list[int]:
-    """The integer polynomial divided by the gcd of its coefficients."""
+    """The integer row or polynomial divided by the gcd of its entries."""
     g = gcd(*p)
     return [x // g for x in p] if g > 1 else p
 

@@ -179,9 +179,10 @@ class SingularReport:
             "nullspace": [vector_to_json(v) for v in self.nullspace],
             "closed_form_match": self.closed_form_match,
         }
-        if self.rtilde_computed is not None or self.rtilde_stated is not None:
+        if self.rtilde_stated is not None:  # computed is None when Rt's image is no multiple
             out["rtilde"] = {
-                "computed": format_rational(self.rtilde_computed),
+                "computed": None if self.rtilde_computed is None
+                else format_rational(self.rtilde_computed),
                 "stated": format_rational(self.rtilde_stated),
             }
         return out

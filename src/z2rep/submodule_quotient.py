@@ -25,7 +25,6 @@ from math import comb, lcm
 
 from . import linalg
 from .graded_algebra import DEGREE, Degree, degree_add
-from .rationals import format_rational
 from .singular_solver import (closed_form, detect_singular_orders, lowering_kernel,
                               sectors_for_level)
 from .verma import (ConsistencyError, Ket, VermaModule, Vector, act_word, action_rows,
@@ -118,12 +117,10 @@ def build_submodule(module: VermaModule, max_level: int) -> Submodule:
         if 2 * M + 1 <= max_level:
             seeds.setdefault(2 * M + 1, []).extend(singular_pair(module, M))
     pieces: dict[int, dict[Degree, linalg.Piece]] = {}
-    kets_below: dict[Degree, list[Ket]] = {}
     for n in range(min(seeds, default=max_level + 1), max_level + 1):
         level = pieces[n] = {}
-        kets_here = {}
         for sector in sectors_for_level(n):
-            kets = kets_here[sector] = sector_kets(module, n, sector)
+            kets = sector_kets(module, n, sector)
             rows = [_integer_coords(v, kets) for v in seeds.get(n, ())
                     if v.degree() == sector]
             for gen in ("ap", "atp"):
@@ -131,7 +128,7 @@ def build_submodule(module: VermaModule, max_level: int) -> Submodule:
                 below = pieces.get(n - 1, {}).get(source, ([], []))[0]
                 if not below:
                     continue
-                images = action_rows(module, gen, kets_below[source], kets)
+                images = action_rows(module, gen, sector_kets(module, n - 1, source), kets)
                 for row in below:
                     out = [0] * len(kets)
                     for c, image in zip(row, images):
@@ -140,7 +137,6 @@ def build_submodule(module: VermaModule, max_level: int) -> Submodule:
                                 out[t] += c * a
                     rows.append(out)
             level[sector] = linalg.echelon(rows)
-        kets_below = kets_here
     return Submodule(module, pieces)
 
 
@@ -238,9 +234,7 @@ class ClassificationVerdict:
     per_level: list[dict]
 
     def to_json(self) -> dict:
-        out = {"kind": self.module.kind, "r": format_rational(self.module.r)}
-        if self.module.lam is not None:
-            out["lambda"] = format_rational(self.module.lam)
+        out = self.module.to_json()
         out["case"] = self.case
         if self.M is not None:
             out["M"] = self.M

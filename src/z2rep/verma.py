@@ -27,6 +27,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .graded_algebra import DEGREE, Element, STRUCTURE_TABLE, degree_dot
+from .rationals import format_rational
 
 
 class Ket(NamedTuple):
@@ -57,6 +58,13 @@ class VermaModule:
             object.__setattr__(self, "lam", Fraction(self.lam))
         elif self.lam is not None:
             raise ValueError("Mr takes no lambda")
+
+    def to_json(self) -> dict:
+        """The kind, r and (MrLambda only) lambda that head every module's output."""
+        out = {"kind": self.kind, "r": format_rational(self.r)}
+        if self.lam is not None:
+            out["lambda"] = format_rational(self.lam)
+        return out
 
     def basis_vector(self, alpha: int, k: int, m: int, beta: int | None = None) -> "Vector":
         ket = Ket(alpha, k, m, beta)
@@ -361,11 +369,7 @@ def _sector_kets(kind: str, n: int, sector: tuple[int, int]) -> tuple[Ket, ...]:
 
 
 def vector_to_json(vec: Vector) -> dict:
-    from .rationals import format_rational
-    mod = vec.module
-    out: dict = {"kind": mod.kind, "r": format_rational(mod.r)}
-    if mod.lam is not None:
-        out["lambda"] = format_rational(mod.lam)
+    out = vec.module.to_json()
     terms = []
     for ket, c in vec.sorted_items():
         t = {"alpha": ket.alpha, "k": ket.k, "m": ket.m}

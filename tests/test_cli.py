@@ -1,9 +1,12 @@
+import csv
+import io
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
-from z2rep import submodule_quotient
+from z2rep import singular_solver, submodule_quotient
 from z2rep.cli import load_run_config, main, parse_mutation
 from z2rep.graded_algebra import Element
 
@@ -48,6 +51,15 @@ def test_parse_mutation():
         parse_mutation("[R,Lp] Lp")
     with pytest.raises(ValueError):
         parse_mutation("[R,Zed]=Lp")
+
+
+@pytest.mark.parametrize("spec", ["[R,Lp]=2*Lp+", "[R,Lp]=-", "[R,Lp]=++Lp"])
+def test_mutation_with_a_stray_sign_is_a_usage_error(spec, capsys):
+    # each sign must lead a term; none may be dropped or merged with another
+    with pytest.raises(ValueError, match="cannot parse mutation"):
+        parse_mutation(spec)
+    code, out, err = run_cli(capsys, "verify-algebra", "--mutate", spec)
+    assert code == 2 and out == "" and err.startswith("error: cannot parse mutation")
 
 
 def test_singular_level(capsys):
@@ -331,6 +343,8 @@ def test_env_config_level_cap_ends_the_dims_table(tmp_path, monkeypatch, capsys)
     {"output_format": "xml"},
     {"output_path": 10 ** 6},
     {"output_path": None},
+    {"level-cap": 3},
+    {"level_cap": 3, "format": "csv"},
 ], ids=repr)
 def test_env_config_malformed_values(payload, tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "cfg.json"
@@ -362,6 +376,23 @@ def test_failed_quotient_check_exits_1(monkeypatch, capsys):
                              "--lambda", "9")
     assert code == 1 and out == ""
     assert "unexpected singular vector" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("computed, shown", [(None, None), (Fraction(4), "4/1")],
+                         ids=["not-a-multiple", "wrong-multiple"])
+def test_failed_rtilde_relation_exits_1(computed, shown, fmt, monkeypatch, capsys):
+    # Rt's image not proportional to the partner vector, then the wrong multiple
+    monkeypatch.setattr(singular_solver, "rtilde_check", lambda module, which, M:
+                        singular_solver.RtildeCheck(which, computed, Fraction(2 * M + 1)))
+    code, out, _ = run_cli(capsys, "singular", "--kind", "mr", "--r=-2", "--level", "3",
+                           "--format", fmt)
+    assert code == 1
+    if fmt == "json":
+        assert json.loads(out)[0]["rtilde"] == {"computed": shown, "stated": "3/1"}
+    else:
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert (row["rtilde_computed"], row["rtilde_stated"]) == (shown or "", "3/1")
 
 
 def test_env_config_bad_file(tmp_path, monkeypatch, capsys):
