@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import cartan_modules, graded_algebra, submodule_quotient
-from .rationals import format_rational, parse_rational
+from .rationals import parse_rational
 from .singular_solver import find_singular, sectors_for_level
 from .submodule_quotient import MAX_LEVEL, ConsistencyError
 from .verma import VermaModule
@@ -165,7 +165,8 @@ def cmd_bracket_table(args) -> int:
     return 0
 
 
-def _singular_row(report) -> dict:
+def _singular_row(report, payload: dict) -> dict:
+    rtilde = payload.get("rtilde", {})
     return {
         **_module_fields(report.module),
         "level": report.level,
@@ -173,10 +174,8 @@ def _singular_row(report) -> dict:
         "nullspace_dim": len(report.nullspace),
         "vectors": " | ".join(map(repr, report.nullspace)),
         "closed_form_match": report.closed_form_match,
-        "rtilde_computed": format_rational(report.rtilde_computed)
-        if report.rtilde_computed is not None else "",
-        "rtilde_stated": format_rational(report.rtilde_stated)
-        if report.rtilde_stated is not None else "",
+        "rtilde_computed": rtilde.get("computed") or "",
+        "rtilde_stated": rtilde.get("stated", ""),
     }
 
 
@@ -188,7 +187,7 @@ def cmd_singular(args) -> int:
         for sector in sectors_for_level(level):
             reports.append(find_singular(module, level, sector))
     payload = [r.to_json() for r in reports]
-    rows = [_singular_row(r) for r in reports]
+    rows = [_singular_row(r, p) for r, p in zip(reports, payload)]
     _emit(args, payload,
           ["kind", "r", "lambda", "level", "sector", "nullspace_dim", "vectors",
            "closed_form_match", "rtilde_computed", "rtilde_stated"], rows)
@@ -224,16 +223,9 @@ def cmd_cartan(args) -> int:
     hm = cartan_modules.build_h_module(args.n, r, c)
     report = cartan_modules.classify(hm)
     payload = report.to_json()
-    rows = []
-    for piece in report.constituents:
-        rows.append({
-            "n": args.n,
-            "r": format_rational(r),
-            "kind": piece.kind,
-            "dim": piece.dim,
-            "piece_r": format_rational(piece.r),
-            "lambda": format_rational(piece.lam) if piece.lam is not None else "",
-        })
+    rows = [{"n": args.n, "r": payload["r"], "kind": piece.kind, "dim": piece.dim,
+             "piece_r": entry["r"], "lambda": entry.get("lambda", "")}
+            for piece, entry in zip(report.constituents, payload["constituents"])]
     _emit(args, payload, ["n", "r", "kind", "dim", "piece_r", "lambda"], rows)
     return 0
 
@@ -335,7 +327,7 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"mathematical check failed: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, ZeroDivisionError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

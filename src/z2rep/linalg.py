@@ -115,12 +115,9 @@ def reduce_mod_span(rr_rows: list[list[Fraction]], pivots: list[int], vec) -> li
 def nullspace(rows, ncols: int) -> list[list[Fraction]]:
     """RREF-normalized basis of the right kernel of the matrix.
 
-    The rows are eliminated as integers.  A matrix of full column rank
-    returns [] there; Fractions are built only for a nonzero kernel.
+    The rows are eliminated as integers.
     """
     ech, pivots = echelon(_int_rows(rows))
-    if len(pivots) == ncols:
-        return []
     rr = echelon_to_rref(ech, pivots)
     pivset = {c: i for i, c in enumerate(pivots)}
     basis = []
@@ -193,7 +190,9 @@ def poly_mul(p, q) -> list[Fraction]:
 
 
 def poly_eval(coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
+    """The polynomial at x, by Horner's rule; an integer polynomial at an
+    integer point stays in ints."""
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
@@ -268,14 +267,6 @@ def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
     return q
 
 
-def _horner(p: list[int], x: int) -> int:
-    """p(x) for an integer polynomial and point, without building a Fraction."""
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def rational_roots(coeffs) -> list[Fraction]:
     """All rational roots of the polynomial, ascending (multiplicity collapsed).
 
@@ -311,7 +302,7 @@ def rational_roots(coeffs) -> list[Fraction]:
         chain.append(_neg_prem(chain[-2], chain[-1]))
 
     def sign_changes(x: int) -> int:
-        signs = [v > 0 for v in (_horner(s, x) for s in chain) if v]
+        signs = [v > 0 for v in (poly_eval(s, x) for s in chain) if v]
         return sum(u != v for u, v in zip(signs, signs[1:]))
 
     # Fujiwara: every root y of q has |y| <= 2 max_i |q_(d-i)|^(1/i)

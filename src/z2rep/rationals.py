@@ -14,6 +14,8 @@ def parse_rational(text: str) -> Fraction:
     s = text.strip()
     if "/" in s:
         num, _, den = s.partition("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(s))
 

@@ -197,10 +197,13 @@ def lowering_kernel(module: VermaModule, level: int, sector: Degree,
     `find_singular` passes {} for W = 0.  The kets of the sector off W's
     pivots span a complement of W.  Each gives one integer row: its am image
     over the kets of its target sector of level-1, then its atm image over
-    the kets of its own, scaled by den(r) * den(lambda).  The row is reduced
-    as one row modulo W at level-1, stacked on the same columns, so one
-    integer factor scales the whole row; the columns off W's pivots are kept.
-    Returns the complement kets and an RREF basis of the kernel on them.
+    the kets of its own, scaled by den(r) * den(lambda).  Reduced modulo W at
+    level-1, on the same columns, each row is scaled by its own unknown
+    integer, so the reduced rows give the rank but not the coordinates.  The
+    kernel is the complement part of the left kernel of the unreduced rows
+    stacked on W's; W's rows are independent, so that part is injective and
+    holds every pivot of the RREF basis.  Returns the complement kets and an
+    RREF basis of the kernel on them.
     """
     scale = module.r.denominator * (module.lam.denominator if module.lam is not None else 1)
     pivots = w.get(level, {}).get(sector, ([], []))[1]
@@ -221,12 +224,11 @@ def lowering_kernel(module: VermaModule, level: int, sector: Degree,
             for t, c in image:
                 row[width + t] = c
         width += len(targets)
-    keep = [j for j in range(width) if j not in ech_pivots]
-    rows = [[red[j] for j in keep]
-            for red in (linalg.reduce_mod_echelon(ech, ech_pivots, row) for row in rows)]
-    if len(linalg.echelon(rows)[1]) == len(kets):
+    reduced = [linalg.reduce_mod_echelon(ech, ech_pivots, row) for row in rows]
+    if len(linalg.echelon(reduced)[1]) == len(kets):
         return kets, []
-    return kets, linalg.nullspace(list(zip(*rows)), len(kets))
+    stack = rows + ech
+    return kets, [v[:len(kets)] for v in linalg.nullspace(list(zip(*stack)), len(stack))]
 
 
 def find_singular(module: VermaModule, level: int, sector: Degree) -> SingularReport:

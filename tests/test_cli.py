@@ -9,6 +9,7 @@ import pytest
 from z2rep import singular_solver, submodule_quotient
 from z2rep.cli import load_run_config, main, parse_mutation
 from z2rep.graded_algebra import Element
+from z2rep.rationals import parse_rational
 
 
 def run_cli(capsys, *argv):
@@ -94,6 +95,17 @@ def test_singular_rejects_bad_rational(capsys):
                            "--level", "1")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["singular", "--kind", "mr", "--r=1/0", "--level", "1"], "1/0"),
+    (["classify", "--kind", "mrl", "--r", "1", "--lambda=3/0"], "3/0"),
+    (["cartan", "--n", "3", "--r", "0", "--c=1/0"], "1/0")])
+def test_zero_denominator_is_a_usage_error_that_names_its_input(argv, text, capsys):
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rational("1/0")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err == f"error: zero denominator in {text!r}\n"
 
 
 def test_singular_requires_lambda_for_mrl(capsys):

@@ -58,6 +58,9 @@ def test_char_poly_of_diagonal():
     a = [[F(2), F(0)], [F(0), F(-3)]]
     # (x-2)(x+3) = x^2 + x - 6
     assert linalg.char_poly(a) == [F(-6), F(1), F(1)]
+    # an integer polynomial at an integer point stays in ints
+    value = linalg.poly_eval([1, 2, 3], 5)
+    assert value == 86 and type(value) is int
 
 
 def test_rational_roots():
