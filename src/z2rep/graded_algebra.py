@@ -51,7 +51,8 @@ class Element:
         for g, c in (terms or {}).items():
             if g not in DEGREE:
                 raise ValueError(f"unknown generator {g!r}")
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c:
                 clean[g] = c
         self.terms = clean
@@ -156,11 +157,12 @@ STRUCTURE_TABLE: Table = _with_entries(
 def bracket(x: Element, y: Element, table: Table | None = None) -> Element:
     """General Lie bracket, extended bilinearly over the generator table."""
     tbl = STRUCTURE_TABLE if table is None else table
-    out = Element.zero()
+    out: dict[str, Fraction] = {}
     for gx, cx in x.terms.items():
         for gy, cy in y.terms.items():
-            out = out + (cx * cy) * tbl[(gx, gy)]
-    return out
+            for g, c in tbl[(gx, gy)].terms.items():
+                out[g] = out.get(g, 0) + cx * cy * c
+    return Element(out)
 
 
 def mutated_table(overrides: dict[tuple[str, str], Element]) -> Table:

@@ -13,10 +13,12 @@ even generator X is one bracket [[g1, g2]] = c X of two odd ones in the
 structure table and acts as that graded commutator over c (so Lp = -atp^2/2,
 Lm = am^2/2).  All ten actions live in one table, `_action`, keyed on module
 kind, generator and ket but not on r or lambda: it stores each coefficient
-doubled, as c1 + cr*r + cl*lambda in integers.  `act` (in Fractions) and
-`action_rows` (integer matrices) evaluate it with one module's integer
-weights from `_weights`.  `representation_residual`, vanishing on every
-generator pair, certifies that the four formulas define a representation.
+doubled, as c1 + cr*r + cl*lambda in integers.  `act` and `action_rows`
+(integer matrices) evaluate it with one module's integer weights from
+`_weights`; `act` sums integer numerators over one common denominator and
+builds one Fraction per output term.  `representation_residual`, vanishing
+on every generator pair, certifies that the four formulas define a
+representation.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import NamedTuple
 
 from .graded_algebra import DEGREE, Element, STRUCTURE_TABLE, degree_dot
@@ -98,7 +101,8 @@ class Vector:
         self.module = module
         clean: dict[Ket, Fraction] = {}
         for ket, c in (terms or {}).items():
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c:
                 clean[ket] = c
         self.terms = clean
@@ -131,19 +135,22 @@ class Vector:
             out[index[ket]] = c
         return out
 
-    def _binop(self, other: "Vector", sign: int) -> "Vector":
+    def _binop(self, other: "Vector", subtract: bool) -> "Vector":
         if self.module != other.module:
             raise ValueError("vectors live in different modules")
         out = dict(self.terms)
         for ket, c in other.terms.items():
-            out[ket] = out.get(ket, Fraction(0)) + sign * c
+            if ket in out:
+                out[ket] = out[ket] - c if subtract else out[ket] + c
+            else:
+                out[ket] = -c if subtract else c
         return Vector(self.module, out)
 
     def __add__(self, other: "Vector") -> "Vector":
-        return self._binop(other, 1)
+        return self._binop(other, False)
 
     def __sub__(self, other: "Vector") -> "Vector":
-        return self._binop(other, -1)
+        return self._binop(other, True)
 
     def __neg__(self) -> "Vector":
         return (-1) * self
@@ -275,15 +282,31 @@ def _weights(module: VermaModule, scale: int = 1) -> tuple[int, int, int, int]:
     return q * v * scale, p * v * scale, q * u * scale, 2 * q * v
 
 
+def _act_sum(module: VermaModule, parts: list[tuple[Fraction | int, str, Vector]]) -> Vector:
+    """Exact sum of scalar * (gen on vec) over the parts (scalar, gen, vec).
+
+    Every scalar * coefficient is put over d, the lcm of all their
+    denominators, and the integer numerators are summed against the weights
+    of `_weights`; one Fraction is built per target ket.  Every vec must lie
+    in module.
+    """
+    w1, wr, wl, den = _weights(module)
+    terms = [(s.numerator * c.numerator, s.denominator * c.denominator, gen, ket)
+             for s, gen, vec in parts for ket, c in vec.terms.items()]
+    # a list: CPython shrinks the argument tuple of a starred generator, and
+    # its free lists keep up to 2000 such tuples of each size
+    d = lcm(*[q for _, q, _, _ in terms])
+    out: dict[Ket, int] = {}
+    for num, q, gen, ket in terms:
+        num *= d // q
+        for tket, c1, cr, cl in _action(module.kind, gen, ket):
+            out[tket] = out.get(tket, 0) + num * (c1 * w1 + cr * wr + cl * wl)
+    return Vector(module, {tket: Fraction(t, d * den) for tket, t in out.items()})
+
+
 def act(gen: str, vec: Vector) -> Vector:
     """Exact action of one generator, extended linearly over the terms."""
-    mod = vec.module
-    w1, wr, wl, den = _weights(mod)
-    out: dict[Ket, Fraction] = {}
-    for ket, c in vec.terms.items():
-        for tket, c1, cr, cl in _action(mod.kind, gen, ket):
-            out[tket] = out.get(tket, 0) + c * (c1 * w1 + cr * wr + cl * wl)
-    return Vector(mod, {tket: c / den for tket, c in out.items()})
+    return _act_sum(vec.module, [(1, gen, vec)])
 
 
 def action_rows(module: VermaModule, gen: str, kets: list[Ket], targets: list[Ket],
@@ -319,10 +342,7 @@ def act_word(word: tuple[str, ...], vec: Vector) -> Vector:
 
 def act_element(elem: Element, vec: Vector) -> Vector:
     """Bilinear extension of `act` to algebra elements."""
-    out = zero_vector(vec.module)
-    for gen, c in elem.terms.items():
-        out = out + c * act(gen, vec)
-    return out
+    return _act_sum(vec.module, [(c, gen, vec) for gen, c in elem.terms.items()])
 
 
 def representation_residual(g1: str, g2: str, vec: Vector) -> Vector:
@@ -335,8 +355,9 @@ def representation_residual(g1: str, g2: str, vec: Vector) -> Vector:
     (including signs) define a representation of the structure table.
     """
     sign = -1 if degree_dot(DEGREE[g1], DEGREE[g2]) else 1
-    lhs = act(g1, act(g2, vec)) - sign * act(g2, act(g1, vec))
-    return lhs - act_element(STRUCTURE_TABLE[(g1, g2)], vec)
+    parts = [(1, g1, act(g2, vec)), (-sign, g2, act(g1, vec))]
+    parts += [(-c, x, vec) for x, c in STRUCTURE_TABLE[(g1, g2)].terms.items()]
+    return _act_sum(vec.module, parts)
 
 
 def enumerate_level(module: VermaModule, n: int) -> tuple[Ket, ...]:

@@ -134,3 +134,10 @@ def test_table_json_schema_and_rationals():
 def test_element_rejects_unknown_generator():
     with pytest.raises(ValueError):
         Element({"bogus": 1})
+
+
+def test_element_coefficients_are_nonzero_fractions():
+    elem = Element({"R": 3, "ap": "1/2", "am": 0, "Lp": Fraction(0), "Lm": "0", "Rt": 0.0})
+    assert elem.terms == {"R": Fraction(3), "ap": Fraction(1, 2)}
+    assert all(type(c) is Fraction for c in elem.terms.values())
+    assert (elem - elem).terms == {}

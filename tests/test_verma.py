@@ -350,3 +350,85 @@ def test_ap_leading_term_is_the_shifted_ket(module):
         # the shift is an order-preserving injection of level n into n+1
         hit = set(shifted)
         assert shifted == [ket for ket in enumerate_level(module, n + 1) if ket in hit]
+
+
+def _ref_act(module, gen, terms):
+    """gen on {ket: Fraction} term by term in Fractions, each coefficient
+    (c1 + cr*r + cl*lambda) / 2 read off `_action`; zeros dropped."""
+    lam = module.lam if module.lam is not None else Fraction(0)
+    out = {}
+    for ket, c in terms.items():
+        for tket, c1, cr, cl in verma._action(module.kind, gen, ket):
+            out[tket] = out.get(tket, Fraction(0)) + c * (c1 + cr * module.r + cl * lam) / 2
+    return {ket: c for ket, c in out.items() if c}
+
+
+def _ref_combine(parts):
+    """sum of scalar * {ket: c} over (scalar, terms) parts; zeros dropped."""
+    out = {}
+    for s, terms in parts:
+        for ket, c in terms.items():
+            out[ket] = out.get(ket, Fraction(0)) + s * c
+    return {ket: c for ket, c in out.items() if c}
+
+
+# mixed denominators: the integer accumulator must bring each one to the lcm
+_MIXED = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def _vectors(draw):
+    kind = draw(st.sampled_from(["Mr", "MrLambda"]))
+    lam = draw(_MIXED.filter(bool)) if kind == "MrLambda" else None
+    module = VermaModule(kind, draw(_MIXED), lam)
+    kets = [ket for n in range(7) for ket in verma._level_kets(kind, n)]
+    return Vector(module, draw(st.dictionaries(st.sampled_from(kets), _MIXED, max_size=6)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_vectors(), st.sampled_from(GENERATORS), st.sampled_from(GENERATORS),
+       st.dictionaries(st.sampled_from(GENERATORS), _MIXED, max_size=4))
+def test_integer_accumulator_matches_fraction_reference(vec, g1, g2, elem_terms):
+    mod, v = vec.module, vec.terms
+    image = act(g1, vec)
+    assert image.terms == _ref_act(mod, g1, v)
+    assert all(type(c) is Fraction for c in image.terms.values())
+    elem = Element(elem_terms)
+    assert act_element(elem, vec).terms == _ref_combine(
+        [(c, _ref_act(mod, g, v)) for g, c in elem.terms.items()])
+    sign = -1 if degree_dot(DEGREE[g1], DEGREE[g2]) else 1
+    parts = [(1, _ref_act(mod, g1, _ref_act(mod, g2, v))),
+             (-sign, _ref_act(mod, g2, _ref_act(mod, g1, v)))]
+    parts += [(-c, _ref_act(mod, x, v)) for x, c in STRUCTURE_TABLE[(g1, g2)].terms.items()]
+    assert representation_residual(g1, g2, vec).terms == _ref_combine(parts)
+
+
+@pytest.mark.parametrize("module", [VermaModule("Mr", Fraction(-5, 3)),
+                                    VermaModule("MrLambda", Fraction(2, 7), Fraction(-9, 4))],
+                         ids=["Mr", "MrLambda"])
+def test_integer_accumulator_on_zero_and_cancelling_vectors(module):
+    # the zero vector has no denominators at all (their lcm is 1)
+    zero = zero_vector(module)
+    for g in GENERATORS:
+        assert act(g, zero).is_zero()
+        assert representation_residual(g, "am", zero).is_zero()
+    assert act_element(STRUCTURE_TABLE[("ap", "am")], zero).is_zero()
+    # am sends both kets to the target; weighted crosswise, that ket cancels
+    beta = None if module.kind == "Mr" else 0
+    a, b, target = Ket(0, 4, 0, beta), Ket(1, 1, 1, beta), Ket(0, 3, 0, beta)
+    ca = _ref_act(module, "am", {a: Fraction(1)})[target]
+    cb = _ref_act(module, "am", {b: Fraction(1)})[target]
+    vec = Vector(module, {a: cb / 6, b: -ca / 6})
+    image = act("am", vec)
+    assert target not in image.terms and not image.is_zero()
+    assert image.terms == _ref_act(module, "am", vec.terms)
+
+
+def test_vector_coefficients_are_nonzero_fractions():
+    vec = Vector(MR, {Ket(0, 0, 0): 3, Ket(0, 1, 0): "1/2", Ket(1, 0, 0): 0,
+                      Ket(0, 2, 0): Fraction(0), Ket(0, 0, 1): "0", Ket(1, 1, 0): 0.0})
+    assert vec.terms == {Ket(0, 0, 0): Fraction(3), Ket(0, 1, 0): Fraction(1, 2)}
+    assert all(type(c) is Fraction for c in vec.terms.values())
+    assert (vec - vec).terms == {} and (vec + (-1) * vec).terms == {}
+    assert (vec + MR.basis_vector(0, 0, 0)).terms == {Ket(0, 0, 0): Fraction(4),
+                                                      Ket(0, 1, 0): Fraction(1, 2)}
