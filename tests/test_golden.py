@@ -1,9 +1,10 @@
 """CLI outputs that must stay byte-identical across engine changes.
 
 Each case's stdout, in JSON and in CSV, is stored under tests/golden/.  To
-record a new case, add it to CASES and run this file as a script from the
-repository root: ``PYTHONPATH=src python tests/test_golden.py``.  It writes
-missing files only and never overwrites a recorded one.
+record a new case, add it to CASES (or to FAILING, if the command exits 1)
+and run this file as a script from the repository root:
+``PYTHONPATH=src python tests/test_golden.py``.  It writes missing files only
+and never overwrites a recorded one.
 """
 
 from pathlib import Path
@@ -96,10 +97,17 @@ CASES = {
     "bracket_table": ("bracket-table",),
 }
 
+# exit code 1: one failure branch of verify_axioms each
+FAILING = {
+    "verify_algebra_mutate_antisymmetry": ("verify-algebra", "--mutate", "[R,R]=R"),
+    "verify_algebra_mutate_degree": ("verify-algebra", "--mutate", "[R,Lp]=ap"),
+    "verify_algebra_mutate_jacobi": ("verify-algebra", "--mutate", "[R,Lp]=Lp"),
+}
 
-def run(argv, fmt, capsys) -> str:
+
+def run(argv, fmt, capsys, exit_code=0) -> str:
     code = main([*argv, "--format", fmt])
-    assert code == 0
+    assert code == exit_code
     return capsys.readouterr().out
 
 
@@ -110,18 +118,27 @@ def test_output_matches_golden(name, fmt, capsys):
     assert run(CASES[name], fmt, capsys) == expected
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", sorted(FAILING))
+def test_failing_output_matches_golden(name, fmt, capsys):
+    expected = (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
+    assert run(FAILING[name], fmt, capsys, exit_code=1) == expected
+
+
 if __name__ == "__main__":
     import contextlib
     import io
 
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
+    cases = [(name, argv, 0) for name, argv in CASES.items()]
+    cases += [(name, argv, 1) for name, argv in FAILING.items()]
+    for name, argv, exit_code in cases:
         for fmt in FORMATS:
             path = GOLDEN / f"{name}.{fmt}"
             if path.exists():
                 continue
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
-                assert main([*argv, "--format", fmt]) == 0
+                assert main([*argv, "--format", fmt]) == exit_code
             path.write_text(buf.getvalue(), encoding="utf-8")
             print("recorded", path.name)
