@@ -5,12 +5,14 @@ ap/am (degree (0,1)), atp/atm (degree (1,0)).  The general Lie bracket on two
 homogeneous elements is a commutator when the Z2 dot product of their degrees
 is 0 and an anticommutator when it is 1.  The full table of structure
 constants is stored explicitly for every ordered generator pair so that
-antisymmetry is a checkable property rather than an assumption.
+antisymmetry is a checkable property rather than an assumption.  `SIGN` is
+the one statement of the graded sign, and `_bracket_sum` sums the Jacobi
+residual of each triple in one dict, as `verma._act_sum` sums the action.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .rationals import format_rational
@@ -39,6 +41,12 @@ def degree_add(a: Degree, b: Degree) -> Degree:
 
 def degree_dot(a: Degree, b: Degree) -> int:
     return (a[0] * b[0] + a[1] * b[1]) % 2
+
+
+# (-1)^{deg x . deg y} for every ordered generator pair
+SIGN: dict[tuple[str, str], int] = {
+    (x, y): -1 if degree_dot(DEGREE[x], DEGREE[y]) else 1
+    for x in GENERATORS for y in GENERATORS}
 
 
 class Element:
@@ -145,7 +153,7 @@ def _with_entries(table: Table, entries: dict[tuple[str, str], Element]) -> Tabl
         out[(x, y)] = elem
         if x != y:
             # [[Y, X]] = -(-1)^{deg X . deg Y} [[X, Y]]
-            out[(y, x)] = (1 if degree_dot(DEGREE[x], DEGREE[y]) else -1) * elem
+            out[(y, x)] = -SIGN[x, y] * elem
     return out
 
 
@@ -154,15 +162,20 @@ STRUCTURE_TABLE: Table = _with_entries(
     {pair: Element(terms) for pair, terms in _BASE_RELATIONS.items()})
 
 
+def _bracket_sum(parts: list[tuple[Fraction | int, str, Element]], tbl: Table) -> Element:
+    """Sum of s * [[gen, y]] over the parts (s, gen, y), in one dict and one Element."""
+    out: dict[str, Fraction] = {}
+    for s, gen, y in parts:
+        for gy, cy in y.terms.items():
+            for g, c in tbl[(gen, gy)].terms.items():
+                out[g] = out.get(g, 0) + s * cy * c
+    return Element(out)
+
+
 def bracket(x: Element, y: Element, table: Table | None = None) -> Element:
     """General Lie bracket, extended bilinearly over the generator table."""
     tbl = STRUCTURE_TABLE if table is None else table
-    out: dict[str, Fraction] = {}
-    for gx, cx in x.terms.items():
-        for gy, cy in y.terms.items():
-            for g, c in tbl[(gx, gy)].terms.items():
-                out[g] = out.get(g, 0) + cx * cy * c
-    return Element(out)
+    return _bracket_sum([(c, gen, y) for gen, c in x.terms.items()], tbl)
 
 
 def mutated_table(overrides: dict[tuple[str, str], Element]) -> Table:
@@ -183,15 +196,7 @@ class AxiomReport:
     failure: dict | None = None
 
     def to_json(self) -> dict:
-        out = {
-            "passed": self.passed,
-            "antisymmetry_pairs": self.antisymmetry_pairs,
-            "degree_pairs": self.degree_pairs,
-            "jacobi_triples": self.jacobi_triples,
-        }
-        if self.failure is not None:
-            out["failure"] = self.failure
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def verify_axioms(table: Table | None = None) -> AxiomReport:
@@ -202,44 +207,33 @@ def verify_axioms(table: Table | None = None) -> AxiomReport:
     """
     tbl = STRUCTURE_TABLE if table is None else table
     anti = deg = jac = 0
+
+    def failed(check: str, generators: list[str], residual: Element) -> AxiomReport:
+        return AxiomReport(False, anti, deg, jac, {
+            "check": check, "generators": generators, "residual": repr(residual)})
+
     for x in GENERATORS:
         for y in GENERATORS:
-            sign = 1 if degree_dot(DEGREE[x], DEGREE[y]) else -1
-            residual = tbl[(x, y)] + (-sign) * tbl[(y, x)]
+            residual = tbl[(x, y)] + SIGN[x, y] * tbl[(y, x)]
             # residual = [[X,Y]] + (-1)^{x.y} [[Y,X]]
             if not residual.is_zero():
-                return AxiomReport(False, anti, deg, jac, {
-                    "check": "antisymmetry", "generators": [x, y],
-                    "residual": repr(residual)})
+                return failed("antisymmetry", [x, y], residual)
             anti += 1
     for x in GENERATORS:
         for y in GENERATORS:
             want = degree_add(DEGREE[x], DEGREE[y])
             bad = [g for g in tbl[(x, y)].terms if DEGREE[g] != want]
             if bad:
-                return AxiomReport(False, anti, deg, jac, {
-                    "check": "degree-additivity", "generators": [x, y],
-                    "residual": repr(tbl[(x, y)])})
+                return failed("degree-additivity", [x, y], tbl[(x, y)])
             deg += 1
     for x in GENERATORS:
-        dx = DEGREE[x]
-        ex = Element.gen(x)
         for y in GENERATORS:
-            dy = DEGREE[y]
-            ey = Element.gen(y)
             for z in GENERATORS:
-                dz = DEGREE[z]
-                ez = Element.gen(z)
-                s1 = -1 if degree_dot(dx, dz) else 1
-                s2 = -1 if degree_dot(dy, dx) else 1
-                s3 = -1 if degree_dot(dz, dy) else 1
-                residual = (s1 * bracket(ex, tbl[(y, z)], tbl)
-                            + s2 * bracket(ey, tbl[(z, x)], tbl)
-                            + s3 * bracket(ez, tbl[(x, y)], tbl))
+                residual = _bracket_sum([(SIGN[x, z], x, tbl[(y, z)]),
+                                         (SIGN[y, x], y, tbl[(z, x)]),
+                                         (SIGN[z, y], z, tbl[(x, y)])], tbl)
                 if not residual.is_zero():
-                    return AxiomReport(False, anti, deg, jac, {
-                        "check": "jacobi", "generators": [x, y, z],
-                        "residual": repr(residual)})
+                    return failed("jacobi", [x, y, z], residual)
                 jac += 1
     return AxiomReport(True, anti, deg, jac)
 

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from . import linalg
 from .graded_algebra import DEGREE, Degree, degree_add
 from .singular_solver import (closed_form, detect_singular_orders, lowering_kernel,
                               sectors_for_level)
-from .verma import (ConsistencyError, Ket, VermaModule, Vector, act_word, action_rows,
+from .verma import (ConsistencyError, VermaModule, Vector, act_word, action_rows,
                     enumerate_level, sector_kets)
 
 MAX_LEVEL = 200  # highest level a table, a sweep or a classification may reach
@@ -94,12 +94,6 @@ class Submodule:
         return sum(len(rows) for rows, _ in self.pieces.get(n, {}).values())
 
 
-def _integer_coords(vec: Vector, kets: list[Ket]) -> list[int]:
-    """Coordinates of vec scaled by the lcm of their denominators."""
-    den = lcm(*(c.denominator for c in vec.terms.values()))
-    return [int(c * den) for c in vec.coords(kets)]
-
-
 def build_submodule(module: VermaModule, max_level: int) -> Submodule:
     """W = raising words applied to all singular pairs, up to max_level.
 
@@ -121,8 +115,8 @@ def build_submodule(module: VermaModule, max_level: int) -> Submodule:
         level = pieces[n] = {}
         for sector in sectors_for_level(n):
             kets = sector_kets(module, n, sector)
-            rows = [_integer_coords(v, kets) for v in seeds.get(n, ())
-                    if v.degree() == sector]
+            rows = linalg._int_rows([v.coords(kets) for v in seeds.get(n, ())
+                                     if v.degree() == sector])
             for gen in ("ap", "atp"):
                 source = degree_add(sector, DEGREE[gen])
                 below = pieces.get(n - 1, {}).get(source, ([], []))[0]
@@ -190,7 +184,7 @@ def chi11_membership(M: int) -> MembershipReport:
     columns = [act_word(w01, chi01) + act_word(w10, chi10)
                for w01, w10 in membership_words(M)]
     kets = list(enumerate_level(module, 2 * (2 * M + 1)))
-    a_rows = [[col.coords(kets)[i] for col in columns] for i in range(len(kets))]
+    a_rows = list(zip(*(col.coords(kets) for col in columns)))
     rhs = chi11.coords(kets)
     coeffs = linalg.solve_unique(a_rows, rhs)
     combo = sum((c * col for c, col in zip(coeffs, columns)),

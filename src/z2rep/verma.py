@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import lcm
 from typing import NamedTuple
 
-from .graded_algebra import DEGREE, Element, STRUCTURE_TABLE, degree_dot
+from .graded_algebra import SIGN, Element, STRUCTURE_TABLE
 from .rationals import format_rational
 
 
@@ -188,8 +188,7 @@ class ConsistencyError(RuntimeError):
 # each even generator X as (g1, g2, s, c): [[g1, g2]] = c X, s = (-1)^{deg g1 . deg g2};
 # read once here, so that filling the action table calls no public function
 _EVEN_FROM_ODD: dict[str, tuple[str, str, int, int]] = {
-    x: (g1, g2, -1 if degree_dot(DEGREE[g1], DEGREE[g2]) else 1,
-        int(STRUCTURE_TABLE[(g1, g2)].terms[x]))
+    x: (g1, g2, SIGN[g1, g2], int(STRUCTURE_TABLE[(g1, g2)].terms[x]))
     for x, g1, g2 in (("R", "ap", "am"), ("Rt", "ap", "atm"), ("Lp", "atp", "atp"),
                       ("Lm", "am", "am"), ("Ltp", "ap", "atp"), ("Ltm", "am", "atm"))}
 
@@ -354,8 +353,7 @@ def representation_residual(g1: str, g2: str, vec: Vector) -> Vector:
     on all 100 pairs is exactly the condition that the four odd formulas
     (including signs) define a representation of the structure table.
     """
-    sign = -1 if degree_dot(DEGREE[g1], DEGREE[g2]) else 1
-    parts = [(1, g1, act(g2, vec)), (-sign, g2, act(g1, vec))]
+    parts = [(1, g1, act(g2, vec)), (-SIGN[g1, g2], g2, act(g1, vec))]
     parts += [(-c, x, vec) for x, c in STRUCTURE_TABLE[(g1, g2)].terms.items()]
     return _act_sum(vec.module, parts)
 

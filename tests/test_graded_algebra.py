@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from z2rep.graded_algebra import (AD_WEIGHT, DEGREE, GENERATORS, Element,
@@ -93,6 +93,71 @@ def test_verify_axioms_mutation_without_antisymmetrize_fails_antisymmetry():
 rational = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 gen_name = st.sampled_from(GENERATORS)
 element = st.dictionaries(gen_name, rational, max_size=4).map(Element)
+
+
+def _reference_report(table):
+    """verify_axioms(table).to_json(), written out with Element arithmetic
+    and three bracket calls per Jacobi triple."""
+    anti = deg = jac = 0
+    for x in GENERATORS:
+        for y in GENERATORS:
+            sign = -1 if degree_dot(DEGREE[x], DEGREE[y]) else 1
+            residual = table[(x, y)] + sign * table[(y, x)]
+            if not residual.is_zero():
+                return {"passed": False, "antisymmetry_pairs": anti,
+                        "degree_pairs": deg, "jacobi_triples": jac, "failure": {
+                            "check": "antisymmetry", "generators": [x, y],
+                            "residual": repr(residual)}}
+            anti += 1
+    for x in GENERATORS:
+        for y in GENERATORS:
+            want = degree_add(DEGREE[x], DEGREE[y])
+            if any(DEGREE[g] != want for g in table[(x, y)].terms):
+                return {"passed": False, "antisymmetry_pairs": anti,
+                        "degree_pairs": deg, "jacobi_triples": jac, "failure": {
+                            "check": "degree-additivity", "generators": [x, y],
+                            "residual": repr(table[(x, y)])}}
+            deg += 1
+    for x in GENERATORS:
+        for y in GENERATORS:
+            for z in GENERATORS:
+                s1 = -1 if degree_dot(DEGREE[x], DEGREE[z]) else 1
+                s2 = -1 if degree_dot(DEGREE[y], DEGREE[x]) else 1
+                s3 = -1 if degree_dot(DEGREE[z], DEGREE[y]) else 1
+                residual = (s1 * bracket(el(x), table[(y, z)], table)
+                            + s2 * bracket(el(y), table[(z, x)], table)
+                            + s3 * bracket(el(z), table[(x, y)], table))
+                if not residual.is_zero():
+                    return {"passed": False, "antisymmetry_pairs": anti,
+                            "degree_pairs": deg, "jacobi_triples": jac, "failure": {
+                                "check": "jacobi", "generators": [x, y, z],
+                                "residual": repr(residual)}}
+                jac += 1
+    return {"passed": True, "antisymmetry_pairs": anti, "degree_pairs": deg,
+            "jacobi_triples": jac}
+
+
+@st.composite
+def table_entry(draw):
+    """One mutated entry ((x, y), value).  Most values are homogeneous of the
+    degree the pair requires, so that most tables reach the Jacobi stage;
+    some are of any degree, and some sit on a diagonal pair."""
+    x = draw(gen_name)
+    shape = draw(st.sampled_from(("graded",) * 6 + ("diagonal",) * 2 + ("any",) * 2))
+    y = x if shape == "diagonal" else draw(gen_name)
+    want = degree_add(DEGREE[x], DEGREE[y])
+    names = gen_name if shape == "any" else st.sampled_from(
+        [g for g in GENERATORS if DEGREE[g] == want])
+    value = draw(st.dictionaries(names, rational, max_size=2).map(Element))
+    return (x, y), value
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(table_entry(), max_size=2))
+@example([])
+def test_verify_axioms_matches_element_reference(entries):
+    table = mutated_table(dict(entries))
+    assert verify_axioms(table).to_json() == _reference_report(table)
 
 
 @settings(max_examples=60, deadline=None)

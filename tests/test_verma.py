@@ -280,7 +280,7 @@ def test_filling_the_odd_table_calls_no_public_function(monkeypatch):
         if inspect.isfunction(obj) and obj.__module__.startswith("z2rep.") \
                 and not name.startswith("_"):
             monkeypatch.setattr(verma, name, refuse)
-    assert verma.degree_dot is refuse
+    assert verma.format_rational is refuse
     verma._action.cache_clear()
     for kind in ("Mr", "MrLambda"):
         for n in range(8):
