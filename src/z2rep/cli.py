@@ -191,8 +191,8 @@ def cmd_singular(args) -> int:
     _emit(args, payload,
           ["kind", "r", "lambda", "level", "sector", "nullspace_dim", "vectors",
            "closed_form_match", "rtilde_computed", "rtilde_stated"], rows)
-    failed = any(r.closed_form_match == "mismatch" or r.rtilde_computed != r.rtilde_stated
-                 for r in reports)
+    failed = any(r.closed_form_match == "mismatch"
+                 or (r.rtilde is not None and not r.rtilde.matches) for r in reports)
     return 1 if failed else 0
 
 

@@ -113,13 +113,16 @@ def reduce_mod_span(rr_rows: list[list[Fraction]], pivots: list[int], vec) -> li
 
 
 def nullspace(rows, ncols: int) -> list[list[Fraction]]:
-    """RREF-normalized basis of the right kernel of the matrix.
+    """RREF basis of the right kernel of the matrix.
 
-    The rows are eliminated as integers.
+    The integer rows are eliminated with their columns reversed, so each
+    pivot lies as far right as it can.  The vector read off a free column f
+    is then 1 on f, 0 on every other free column and on every column left of
+    f: the basis is already its own reduced row echelon form.
     """
-    ech, pivots = echelon(_int_rows(rows))
+    ech, pivots = echelon([row[::-1] for row in _int_rows(rows)])
     rr = echelon_to_rref(ech, pivots)
-    pivset = {c: i for i, c in enumerate(pivots)}
+    pivset = {ncols - 1 - c: i for i, c in enumerate(pivots)}
     basis = []
     for f in range(ncols):
         if f in pivset:
@@ -127,9 +130,9 @@ def nullspace(rows, ncols: int) -> list[list[Fraction]]:
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
         for c, i in pivset.items():
-            v[c] = -rr[i][f]
+            v[c] = -rr[i][ncols - 1 - f]
         basis.append(v)
-    return rref(basis)[0]
+    return basis
 
 
 def solve_unique(a_rows, b) -> list[Fraction]:

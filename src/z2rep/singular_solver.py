@@ -13,8 +13,10 @@ cross-checked:
   quotient check of `submodule_quotient` also calls, modulo a submodule W;
 * `closed_form` — evaluate the explicit binomial-weighted combinations that
   exist at level 2M+1 (odd sectors) and at level 2(2M+1) in the (1,1) sector
-  of the one-dimensional family, placed on the kets that
-  `closed_form_family_kets` lists for each coefficient family;
+  of the one-dimensional family.  `CLOSED_FORMS` is the one statement of
+  where each form lives; its two coefficient families are the alpha = 0 and
+  the alpha = 1 kets of that sector, in canonical order, and
+  `applicable_closed_form` and `closed_form_family_kets` read the same table;
 * `recurrence_solve` — set up the raw linear recurrences the annihilation
   conditions impose on the ansatz coefficients and solve them as an exact
   linear system, re-deriving the closed forms instead of evaluating them.
@@ -29,8 +31,8 @@ from math import comb, isqrt
 from . import linalg
 from .graded_algebra import DEGREE, Degree, degree_add
 from .rationals import format_rational
-from .verma import (Ket, VermaModule, Vector, act, action_rows, sector_kets,
-                    vector_to_json)
+from .verma import (Ket, VermaModule, Vector, _sector_kets, act, action_rows,
+                    sector_kets, vector_to_json)
 
 ODD_SECTORS: tuple[Degree, ...] = ((0, 1), (1, 0))
 EVEN_SECTORS: tuple[Degree, ...] = ((0, 0), (1, 1))
@@ -71,50 +73,49 @@ def detect_singular_orders(module: VermaModule) -> list[int]:
     return out
 
 
-# the coefficient families of each closed form, named after the recurrence
-# system that re-derives them (MrLambda chi10 has no system of its own)
-_FORM_LAYOUT = {("Mr", "chi01"): "mu-nu", ("Mr", "chi10"): "alpha-beta",
-                ("Mr", "chi11"): "gamma-delta", ("MrLambda", "chi01"): "mu-nu-lambda",
-                ("MrLambda", "chi10"): "alpha-beta-lambda"}
+# where each closed form of order M lives, stated once: level (2M+1) * multiple,
+# one Z2xZ2 sector, and the module kinds that have it
+CLOSED_FORMS = {"chi01": (1, (0, 1), ("Mr", "MrLambda")),
+                "chi10": (1, (1, 0), ("Mr", "MrLambda")),
+                "chi11": (2, (1, 1), ("Mr",))}
+
+# the closed form whose coefficient families each recurrence system is named
+# after (MrLambda chi10 has no system of its own)
+_SYSTEM_FORMS = {"mu-nu": ("Mr", "chi01"), "alpha-beta": ("Mr", "chi10"),
+                 "gamma-delta": ("Mr", "chi11"), "mu-nu-lambda": ("MrLambda", "chi01"),
+                 "alpha-beta-lambda": ("MrLambda", "chi10")}
+
+
+def _families(kind: str, which: str, M: int) -> tuple[list[Ket], list[Ket]]:
+    """The alpha = 0 and the alpha = 1 kets of the sector a closed form fills."""
+    multiple, sector, _ = CLOSED_FORMS[which]
+    kets = _sector_kets(kind, multiple * (2 * M + 1), sector)
+    return [k for k in kets if k.alpha == 0], [k for k in kets if k.alpha == 1]
 
 
 def closed_form_family_kets(which: str, M: int) -> dict[str, list[Ket]]:
     """Ket positions of each coefficient family of a closed form at order M."""
-    if which == "mu-nu":
-        return {"mu": [Ket(0, 2 * (M - 2 * j) + 1, 2 * j) for j in range(M // 2 + 1)],
-                "nu": [Ket(1, 2 * (M - 2 * j - 1), 2 * j + 1)
-                       for j in range((M - 1) // 2 + 1)]}
-    if which == "alpha-beta":
-        return {"alpha": [Ket(0, 2 * (M - 2 * j - 1) + 1, 2 * j + 1)
-                          for j in range((M - 1) // 2 + 1)],
-                "beta": [Ket(1, 2 * (M - 2 * j), 2 * j) for j in range(M // 2 + 1)]}
-    if which == "gamma-delta":
-        return {"gamma": [Ket(0, 4 * (M - j), 2 * j + 1) for j in range(M + 1)],
-                "delta": [Ket(1, 4 * (M - j) + 1, 2 * j) for j in range(M + 1)]}
-    if which == "mu-nu-lambda":
-        return {"mu": [Ket(0, 2 * (M - j) + 1, j, j % 2) for j in range(M + 1)],
-                "nu": [Ket(1, 2 * (M - j), j, (j + 1) % 2) for j in range(M + 1)]}
-    if which == "alpha-beta-lambda":
-        return {"alpha": [Ket(0, 2 * (M - j) + 1, j, (j + 1) % 2) for j in range(M + 1)],
-                "beta": [Ket(1, 2 * (M - j), j, j % 2) for j in range(M + 1)]}
-    raise ValueError(f"no closed form backs {which!r}")
+    if which not in _SYSTEM_FORMS:
+        raise ValueError(f"no closed form backs {which!r}")
+    return dict(zip(which.split("-"), _families(*_SYSTEM_FORMS[which], M)))
 
 
 def closed_form(module: VermaModule, which: str, M: int) -> Vector:
     """Explicit singular vector chi01/chi10 (level 2M+1) or chi11 (level 2(2M+1)).
 
-    chi01 and chi10 carry the same two coefficient lists on swapped families:
-    binomials of even and of odd index for Mr, and binomials weighted by
-    s = r + 2M on alternate terms for MrLambda.
+    Its first coefficient list sits on the alpha = 0 kets of its sector, the
+    second on the alpha = 1 kets.  chi01 and chi10 carry the same two lists
+    on swapped families: binomials of even and of odd index for Mr, and
+    binomials weighted by s = r + 2M on alternate terms for MrLambda.
     """
     if M < 0:
         raise ValueError("M must be nonnegative")
-    if module.kind == "MrLambda" and which == "chi11":
-        raise ConstraintError("no (1,1)-sector closed form exists for MrLambda")
+    if which in CLOSED_FORMS and module.kind not in CLOSED_FORMS[which][2]:
+        raise ConstraintError(f"no {which} closed form exists for {module.kind}")
     if M not in detect_singular_orders(module):
         raise ConstraintError(f"constraint violated: the module has no singular "
                               f"pair of order {M}")
-    if (module.kind, which) not in _FORM_LAYOUT:
+    if which not in CLOSED_FORMS:
         raise ValueError(f"unknown closed form {which!r}")
     if which == "chi11":
         w = [Fraction((-4) ** j * comb(M, j)) for j in range(M + 1)]
@@ -130,7 +131,7 @@ def closed_form(module: VermaModule, which: str, M: int) -> Vector:
                  [x * s ** (j % 2) for j, x in enumerate(w)]]
     if which == "chi10":
         lists.reverse()
-    families = closed_form_family_kets(_FORM_LAYOUT[module.kind, which], M).values()
+    families = _families(module.kind, which, M)
     return Vector(module, {ket: c for kets, coeffs in zip(families, lists)
                            for ket, c in zip(kets, coeffs)})
 
@@ -138,14 +139,12 @@ def closed_form(module: VermaModule, which: str, M: int) -> Vector:
 def applicable_closed_form(module: VermaModule, level: int,
                            sector: Degree) -> tuple[str, int] | None:
     """Which closed form (if any) the theory predicts at this level and sector."""
-    if level % 2 == 1:
-        M = (level - 1) // 2
-        which = {(0, 1): "chi01", (1, 0): "chi10"}.get(sector)
-    else:
-        M = (level - 2) // 4
-        which = ("chi11" if module.kind == "Mr" and sector == (1, 1) and level % 4 == 2
-                 else None)
-    return (which, M) if which and M in detect_singular_orders(module) else None
+    for which, (multiple, place, kinds) in CLOSED_FORMS.items():
+        odd, rest = divmod(level, multiple)
+        if place == sector and module.kind in kinds and rest == 0 and odd % 2 == 1:
+            M = odd // 2
+            return (which, M) if M in detect_singular_orders(module) else None
+    return None
 
 
 def proportionality(w: Vector, v: Vector) -> Fraction | None:
@@ -162,14 +161,24 @@ def proportionality(w: Vector, v: Vector) -> Fraction | None:
 
 
 @dataclass
+class RtildeCheck:
+    which: str
+    computed: Fraction | None  # None: image not proportional at all
+    stated: Fraction
+
+    @property
+    def matches(self) -> bool:
+        return self.computed == self.stated
+
+
+@dataclass
 class SingularReport:
     module: VermaModule
     level: int
     sector: Degree
     nullspace: list[Vector]
     closed_form_match: str  # exact | scalar-multiple | mismatch | no-closed-form
-    rtilde_computed: Fraction | None = None
-    rtilde_stated: Fraction | None = None
+    rtilde: RtildeCheck | None = None  # None unless a closed form matched
 
     def to_json(self) -> dict:
         out = {
@@ -179,11 +188,11 @@ class SingularReport:
             "nullspace": [vector_to_json(v) for v in self.nullspace],
             "closed_form_match": self.closed_form_match,
         }
-        if self.rtilde_stated is not None:  # computed is None when Rt's image is no multiple
+        if self.rtilde is not None:  # computed is None when Rt's image is no multiple
             out["rtilde"] = {
-                "computed": None if self.rtilde_computed is None
-                else format_rational(self.rtilde_computed),
-                "stated": format_rational(self.rtilde_stated),
+                "computed": None if self.rtilde.computed is None
+                else format_rational(self.rtilde.computed),
+                "stated": format_rational(self.rtilde.stated),
             }
         return out
 
@@ -253,22 +262,9 @@ def find_singular(module: VermaModule, level: int, sector: Degree) -> SingularRe
                 match = "mismatch"
             else:
                 match = "exact" if c == 1 else "scalar-multiple"
-    report = SingularReport(module, level, sector, vectors, match)
-    if predicted is not None and match in ("exact", "scalar-multiple"):
-        check = rtilde_check(module, *predicted)
-        report.rtilde_computed, report.rtilde_stated = check.computed, check.stated
-    return report
-
-
-@dataclass
-class RtildeCheck:
-    which: str
-    computed: Fraction | None  # None: image not proportional at all
-    stated: Fraction
-
-    @property
-    def matches(self) -> bool:
-        return self.computed == self.stated
+    rtilde = (rtilde_check(module, *predicted) if match in ("exact", "scalar-multiple")
+              else None)
+    return SingularReport(module, level, sector, vectors, match, rtilde)
 
 
 def rtilde_check(module: VermaModule, which: str, M: int) -> RtildeCheck:
@@ -331,7 +327,7 @@ class _LinearSystem:
         return split
 
 
-def _sys_mu_nu(M: int, r: Fraction) -> _LinearSystem:
+def _sys_mu_nu(M: int, r: Fraction, _lam=None) -> _LinearSystem:
     K = M // 2
     top = K - 1 if M % 2 == 0 else K
     sys = _LinearSystem([("mu", M // 2 + 1), ("nu", (M - 1) // 2 + 1)])
@@ -352,7 +348,7 @@ def _sys_mu_nu(M: int, r: Fraction) -> _LinearSystem:
     return sys
 
 
-def _sys_alpha_beta(M: int, r: Fraction) -> _LinearSystem:
+def _sys_alpha_beta(M: int, r: Fraction, _lam=None) -> _LinearSystem:
     K = M // 2
     top = K - 1 if M % 2 == 0 else K
     sys = _LinearSystem([("alpha", (M - 1) // 2 + 1), ("beta", K + 1)])
@@ -372,7 +368,7 @@ def _sys_alpha_beta(M: int, r: Fraction) -> _LinearSystem:
     return sys
 
 
-def _sys_rho_sigma(M: int, r: Fraction) -> _LinearSystem:
+def _sys_rho_sigma(M: int, r: Fraction, _lam=None) -> _LinearSystem:
     K = M // 2
     sys = _LinearSystem([("rho", K + 1), ("sigma", K)])
     for j in range(K):
@@ -392,7 +388,7 @@ def _sys_rho_sigma(M: int, r: Fraction) -> _LinearSystem:
     return sys
 
 
-def _sys_gamma_delta(M: int, r: Fraction) -> _LinearSystem:
+def _sys_gamma_delta(M: int, r: Fraction, _lam=None) -> _LinearSystem:
     K = M // 2
     count = K if M % 2 == 0 else K + 1
     top = count - 1
@@ -413,7 +409,10 @@ def _sys_gamma_delta(M: int, r: Fraction) -> _LinearSystem:
     return sys
 
 
-def _sys_mu_nu_lambda(M: int, r: Fraction, lam: Fraction) -> _LinearSystem:
+def _sys_mu_nu_lambda(M: int, r: Fraction, lam) -> _LinearSystem:
+    if lam is None:
+        raise ValueError("mu-nu-lambda needs lambda")
+    lam = Fraction(lam)
     sys = _LinearSystem([("mu", M + 1), ("nu", M + 1)])
     sys.add([("mu", M, lam ** (M % 2)), ("nu", M, -(r + 2 * M))])
     for j in range(M):
@@ -431,6 +430,11 @@ def _sys_mu_nu_lambda(M: int, r: Fraction, lam: Fraction) -> _LinearSystem:
     return sys
 
 
+# each recurrence system's builder; the Mr systems ignore lambda
+_SYSTEMS = {"mu-nu": _sys_mu_nu, "alpha-beta": _sys_alpha_beta, "rho-sigma": _sys_rho_sigma,
+            "gamma-delta": _sys_gamma_delta, "mu-nu-lambda": _sys_mu_nu_lambda}
+
+
 def recurrence_solve(which: str, M: int, r,
                      lam=None) -> list[dict[str, list[Fraction]]]:
     """Solution space of one annihilation recurrence system.
@@ -441,18 +445,6 @@ def recurrence_solve(which: str, M: int, r,
     nontrivial only for odd M = 2K+1 with r + 2K = 0.
     """
     r = Fraction(r)
-    if which == "mu-nu":
-        sys = _sys_mu_nu(M, r)
-    elif which == "alpha-beta":
-        sys = _sys_alpha_beta(M, r)
-    elif which == "rho-sigma":
-        sys = _sys_rho_sigma(M, r)
-    elif which == "gamma-delta":
-        sys = _sys_gamma_delta(M, r)
-    elif which == "mu-nu-lambda":
-        if lam is None:
-            raise ValueError("mu-nu-lambda needs lambda")
-        sys = _sys_mu_nu_lambda(M, r, Fraction(lam))
-    else:
+    if which not in _SYSTEMS:
         raise ValueError(f"unknown recurrence system {which!r}")
-    return sys.solutions()
+    return _SYSTEMS[which](M, r, lam).solutions()

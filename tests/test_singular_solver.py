@@ -231,11 +231,11 @@ def test_mu_nu_lambda_zero_off_constraint():
 
 def test_find_singular_populates_rtilde():
     rep = find_singular(mr(-2), 3, (0, 1))
-    assert rep.rtilde_computed == 3 and rep.rtilde_stated == 3
+    assert rep.rtilde.computed == 3 and rep.rtilde.stated == 3
     rep = find_singular(mr(-2), 6, (1, 1))
-    assert rep.rtilde_computed == 0 and rep.rtilde_stated == 0
+    assert rep.rtilde.computed == 0 and rep.rtilde.stated == 0
     rep = find_singular(mrl(1, 1), 1, (1, 0))
-    assert rep.rtilde_stated == 0  # 1 - r with r = 1
+    assert rep.rtilde.stated == 0  # 1 - r with r = 1
 
 
 def test_report_json_schema():
@@ -347,11 +347,15 @@ def _call(fn, *args):
 
 
 def test_closed_forms_match_the_first_written_ones():
+    from z2rep.singular_solver import CLOSED_FORMS
+    from z2rep.verma import sector_kets
     for module, M in _singular_modules():
         forms = ("chi01", "chi10", "chi11") if module.kind == "Mr" else ("chi01", "chi10")
         for which in forms:
             new, old = closed_form(module, which, M), _first_closed_form(module, which, M)
             assert new == old and not new.is_zero(), (module, which, M)
+            multiple, sector, _ = CLOSED_FORMS[which]
+            assert set(old.terms) == set(sector_kets(module, multiple * (2 * M + 1), sector))
 
 
 def test_closed_form_errors_match_the_first_written_ones():
