@@ -17,6 +17,7 @@ import json
 import os
 import re
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -106,7 +107,7 @@ def parse_mutation(spec: str) -> tuple[tuple[str, str], graded_algebra.Element]:
     return (x, y), graded_algebra.Element(terms)
 
 
-def _csv_text(fieldnames: list[str], rows: list[dict]) -> str:
+def _csv_text(fieldnames: list[str], rows: Iterable[dict]) -> str:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fieldnames, restval="",
                             extrasaction="ignore", lineterminator="\n")
@@ -121,7 +122,9 @@ def _module_fields(module: VermaModule) -> dict:
     return {"lambda": "", **module.to_json()}
 
 
-def _emit(args, json_payload, csv_fieldnames, csv_rows) -> None:
+def _emit(args, json_payload, csv_fieldnames, csv_rows: Iterable[dict]) -> None:
+    """Write the JSON payload or the CSV rows; only a CSV run reads the rows,
+    so a caller that builds them lazily builds none for JSON."""
     if args.format == "json":
         text = json.dumps(json_payload, indent=2) + "\n"
     else:
@@ -187,7 +190,7 @@ def cmd_singular(args) -> int:
         for sector in sectors_for_level(level):
             reports.append(find_singular(module, level, sector))
     payload = [r.to_json() for r in reports]
-    rows = [_singular_row(r, p) for r, p in zip(reports, payload)]
+    rows = (_singular_row(r, p) for r, p in zip(reports, payload))
     _emit(args, payload,
           ["kind", "r", "lambda", "level", "sector", "nullspace_dim", "vectors",
            "closed_form_match", "rtilde_computed", "rtilde_stated"], rows)
@@ -201,7 +204,7 @@ def cmd_classify(args) -> int:
     verdict = submodule_quotient.classify_module(module, max_level=args.max_level)
     payload = verdict.to_json()
     summary = {"lambda": "", "M": "", **payload}
-    rows = [{**summary, **row} for row in verdict.per_level]
+    rows = ({**summary, **row} for row in verdict.per_level)
     _emit(args, payload,
           ["kind", "r", "lambda", "case", "M", "dimension", "level", "verma_dim",
            "submodule_dim", "quotient_dim"], rows)
@@ -213,7 +216,7 @@ def cmd_dims(args) -> int:
     table = submodule_quotient.quotient_dims(module, args.max_level)
     _emit(args, table,
           ["kind", "r", "lambda", "level", "verma_dim", "submodule_dim",
-           "quotient_dim"], [{**_module_fields(module), **row} for row in table])
+           "quotient_dim"], ({**_module_fields(module), **row} for row in table))
     return 0
 
 

@@ -1,14 +1,17 @@
 """Exact linear algebra over the rationals.
 
-Everything is dense list-of-list arithmetic at desk scale (matrices up to a
-few hundred entries).  The elimination core is fraction-free: rows are
-rescaled to integers once, pivots are chosen by smallest absolute value
-(which keeps intermediate integers small), and cross-multiplication updates
-are reduced by their gcd.  No floating point anywhere.
+Matrices are dense lists of lists at desk scale (up to a few hundred
+entries), except for `sparse_rank`, whose rows map a column to its nonzero
+entry.  Elimination is fraction-free (Bareiss 1968): rows are rescaled to
+integers once, every cross-multiplied row is divided by the gcd of its
+entries, and `echelon` picks the pivot of smallest absolute value, which keeps
+intermediate integers small.  `echelon_to_rref` back-substitutes in integers
+too and builds one Fraction per entry at the end.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -76,30 +79,62 @@ def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
 
 
 def echelon_to_rref(ech: list[list[int]], pivots: list[int]) -> list[list[Fraction]]:
-    """The reduced row echelon form of the span of integer echelon rows."""
-    out = [[Fraction(x) for x in r] for r in ech]
+    """The reduced row echelon form of the span of integer echelon rows.
+
+    Back-substitution cross-multiplies integer rows, each kept primitive, and
+    divides each row by its pivot only at the end.
+    """
+    out = [list(r) for r in ech]
     for i in range(len(pivots) - 1, -1, -1):
         pc = pivots[i]
-        piv = out[i][pc]
-        out[i] = [x / piv for x in out[i]]
+        row = out[i]
+        piv = row[pc]
         for j in range(i):
             f = out[j][pc]
             if f:
-                out[j] = [a - f * b for a, b in zip(out[j], out[i])]
-    return out
+                g = gcd(piv, f)
+                a, b = piv // g, f // g
+                out[j] = _primitive([a * x - b * y for x, y in zip(out[j], row)])
+    return [[Fraction(x, row[pc]) for x in row] for row, pc in zip(out, pivots)]
 
 
-def reduce_mod_echelon(ech: list[list[int]], pivots: list[int], vec: list[int]) -> list[int]:
-    """A nonzero integer multiple of the remainder of vec modulo the span of
-    integer echelon rows: zero on every pivot column."""
-    v = list(vec)
-    for row, pc in zip(ech, pivots):
-        f = v[pc]
-        if f:
-            g = gcd(row[pc], f)
-            a, b = row[pc] // g, f // g
-            v = [a * x - b * y for x, y in zip(v, row)]
-    return v
+def sparse_rank(rows: list[dict[int, int]],
+                ready: list[tuple[Sequence[int], Piece]] = ()) -> int:
+    """Rank of sparse integer rows stacked on integer echelon pieces.
+
+    Each row maps a column to its nonzero entry.  `ready` holds pieces of
+    integer echelon rows, each with the increasing list of the columns its
+    entries lie on; together their rows must be independent with distinct
+    pivot columns, as pieces on disjoint columns are.  A table keyed on each
+    row's leading column starts with the ready rows at their pivot columns,
+    each made sparse only when a row reaches its pivot.  Each row, sparsest
+    first, is reduced against the table until it is zero or its leading
+    column is new, and every remainder is kept primitive.  The rank is the
+    size of the table.
+    """
+    table: dict[int, dict[int, int] | tuple[Sequence[int], list[int]]] = {}
+    for columns, (ech, pivots) in ready:
+        for row, pc in zip(ech, pivots):
+            table[columns[pc]] = (columns, row)
+    for row in sorted(rows, key=len):
+        while row:
+            lead = min(row)
+            piv = table.get(lead)
+            if piv is None:
+                table[lead] = row
+                break
+            if type(piv) is tuple:
+                columns, dense = piv
+                piv = table[lead] = {c: x for c, x in zip(columns, dense) if x}
+            g = gcd(piv[lead], row[lead])
+            a, b = piv[lead] // g, row[lead] // g
+            out = {c: a * x for c, x in row.items()}
+            for c, x in piv.items():
+                out[c] = out.get(c, 0) - b * x
+            out = {c: x for c, x in out.items() if x}
+            g = gcd(*out.values())
+            row = {c: x // g for c, x in out.items()} if g > 1 else out
+    return len(table)
 
 
 def reduce_mod_span(rr_rows: list[list[Fraction]], pivots: list[int], vec) -> list[Fraction]:

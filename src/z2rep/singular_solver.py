@@ -204,39 +204,37 @@ def lowering_kernel(module: VermaModule, level: int, sector: Degree,
 
     `w` holds a submodule W per level and sector, as `Submodule.pieces` does;
     `find_singular` passes {} for W = 0.  The kets of the sector off W's
-    pivots span a complement of W.  Each gives one integer row: its am image
-    over the kets of its target sector of level-1, then its atm image over
-    the kets of its own, scaled by den(r) * den(lambda).  Reduced modulo W at
-    level-1, on the same columns, each row is scaled by its own unknown
-    integer, so the reduced rows give the rank but not the coordinates.  The
-    kernel is the complement part of the left kernel of the unreduced rows
-    stacked on W's; W's rows are independent, so that part is injective and
-    holds every pivot of the RREF basis.  Returns the complement kets and an
-    RREF basis of the kernel on them.
+    pivots span a complement of W.  Each gives one sparse integer row, read
+    straight off `action_rows`: its am image over the kets of its target
+    sector of level-1 and its atm image over the kets of its own, scaled by
+    den(r) * den(lambda).  Both images land near the ket's own place in
+    canonical order, so the two blocks of columns are interleaved, the t-th
+    target ket of am on column 2t and of atm on 2t+1, which keeps the rows
+    banded.  W's echelon rows at level-1 lie on the same columns.  The kernel
+    is zero exactly when `linalg.sparse_rank` of the rows stacked on W's rows
+    counts every one of them.  Otherwise the kernel is the complement part of
+    the left kernel of that stack, made dense; W's rows are independent, so
+    that part is injective and holds every pivot of the RREF basis.  Returns
+    the complement kets and an RREF basis of the kernel on them.
     """
     scale = module.r.denominator * (module.lam.denominator if module.lam is not None else 1)
     pivots = w.get(level, {}).get(sector, ([], []))[1]
     kets = [ket for j, ket in enumerate(sector_kets(module, level, sector))
             if j not in pivots]
-    rows: list[list[int]] = [[] for _ in kets]
-    ech: list[list[int]] = []  # W at level-1, on the same columns as the rows
-    ech_pivots: list[int] = []
-    width = 0
-    for gen in ("am", "atm"):
+    rows: list[dict[int, int]] = [{} for _ in kets]
+    below: list[tuple[range, linalg.Piece]] = []  # W at level-1, on its columns
+    for b, gen in enumerate(("am", "atm")):
         target = degree_add(sector, DEGREE[gen])
         targets = sector_kets(module, level - 1, target)
-        below, below_pivots = w.get(level - 1, {}).get(target, ([], []))
-        ech = [row + [0] * len(targets) for row in ech] + [[0] * width + row for row in below]
-        ech_pivots += [width + pc for pc in below_pivots]
+        piece = w.get(level - 1, {}).get(target, ([], []))
+        below.append((range(b, 2 * len(targets), 2), piece))
         for row, image in zip(rows, action_rows(module, gen, kets, targets, scale)):
-            row += [0] * len(targets)
-            for t, c in image:
-                row[width + t] = c
-        width += len(targets)
-    reduced = [linalg.reduce_mod_echelon(ech, ech_pivots, row) for row in rows]
-    if len(linalg.echelon(reduced)[1]) == len(kets):
+            row.update((2 * t + b, c) for t, c in image)
+    if linalg.sparse_rank(rows, below) == len(kets) + sum(len(ech) for _, (ech, _) in below):
         return kets, []
-    stack = rows + ech
+    rows += [dict(zip(columns, ech_row)) for columns, (ech, _) in below for ech_row in ech]
+    width = max(len(columns) for columns, _ in below) * 2
+    stack = [[row.get(c, 0) for c in range(width)] for row in rows]
     return kets, [v[:len(kets)] for v in linalg.nullspace(list(zip(*stack)), len(stack))]
 
 

@@ -241,8 +241,9 @@ def _quotient_has_no_singular(w: Submodule, n: int) -> bool:
     """Kernel of the lowering pair on the level-n quotient V_n / W_n is zero.
 
     Checked sector by sector, over integers, by `lowering_kernel`: the kets
-    off W's pivots span a complement of W, and their am and atm images,
-    reduced together modulo W at level n-1, must be linearly independent.
+    off W's pivots span a complement of W, and the sparse rows of their am
+    and atm images, stacked on W's echelon rows at level n-1, must have full
+    rank in `linalg.sparse_rank`.
     """
     return not any(lowering_kernel(w.module, n, sector, w.pieces)[1]
                    for sector in sectors_for_level(n))

@@ -14,7 +14,8 @@ import pytest
 from z2rep import linalg
 from z2rep.graded_algebra import DEGREE, degree_add
 from z2rep.singular_solver import lowering_kernel, sectors_for_level
-from z2rep.submodule_quotient import build_submodule, classify_module
+from z2rep.submodule_quotient import (_quotient_has_no_singular, build_submodule,
+                                      classify_module)
 from z2rep.verma import VermaModule, Vector, act, sector_kets
 
 
@@ -83,3 +84,18 @@ def test_maximal_submodule_is_w_sector_by_sector(module):
             j[n][sector] = linalg.echelon(linalg._int_rows(kernel))
             assert kernel == linalg.echelon_to_rref(*w.get(n, {}).get(sector, ([], []))), \
                 f"level {n} sector {sector}"
+
+
+@pytest.mark.parametrize("module", [mr(-8), mrl(Fraction(1, 3), Fraction(49, 9)), mrl(-5, 9)],
+                         ids=lambda m: f"{m.kind}-r{m.r}-l{m.lam}")
+def test_zero_kernel_modulo_w_takes_the_sparse_exit(module, monkeypatch):
+    # W's rows sit in the pivot table of the full-rank exit: a zero kernel
+    # modulo W is decided there, and never reaches the dense nullspace
+    top = table_top(module)
+    w = build_submodule(module, top)
+
+    def refuse(*args):
+        raise AssertionError("a zero kernel reached the dense nullspace")
+
+    monkeypatch.setattr(linalg, "nullspace", refuse)
+    assert all(_quotient_has_no_singular(w, n) for n in range(1, top + 1))

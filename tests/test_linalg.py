@@ -180,7 +180,43 @@ def test_nullspace_matches_fraction_oracle(matrix, row_scales):
     for form in (rows, fractions, scaled):
         kernel = linalg.nullspace(form, ncols)
         assert kernel == expected
+        assert linalg.rref(form) == _oracle_rref(form, ncols)
         assert all(type(x) is Fraction for vec in kernel for x in vec)
+
+
+@st.composite
+def rows_on_echelon_pieces(draw):
+    """Integer rows stacked on two echelon pieces on interleaved columns, as
+    `lowering_kernel` stacks its rows on W: (pieces, dense piece rows, rows).
+    Some rows are integer combinations of the piece rows, or of those and an
+    earlier row, so they depend on the stack."""
+    widths = draw(st.lists(st.integers(min_value=0, max_value=4), min_size=2, max_size=2))
+    width = 2 * max(widths)
+    pieces, block = [], []
+    for b, w in enumerate(widths):
+        columns = range(b, 2 * w, 2)
+        piece = linalg.echelon(draw(st.lists(st.lists(small, min_size=w, max_size=w),
+                                             max_size=w)))
+        pieces.append((columns, piece))
+        for ech_row in piece[0]:
+            dense = [0] * width
+            for c, x in zip(columns, ech_row):
+                dense[c] = x
+            block.append(dense)
+    rows = draw(st.lists(st.lists(small, min_size=width, max_size=width), max_size=6))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        basis = block + rows[:1]
+        coeffs = draw(st.lists(small, min_size=len(basis), max_size=len(basis)))
+        rows.append([sum(c * row[j] for c, row in zip(coeffs, basis)) for j in range(width)])
+    return pieces, block, draw(st.permutations(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows_on_echelon_pieces())
+def test_sparse_rank_matches_echelon(case):
+    pieces, block, rows = case
+    sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
+    assert linalg.sparse_rank(sparse, pieces) == len(linalg.echelon(block + rows)[1])
 
 
 @pytest.mark.parametrize("rows, ncols, dim", [
