@@ -2,9 +2,16 @@
 
 Subpackages: graded_algebra (bracket table and axiom checks), cartan_modules
 (finite-dimensional Cartan-pair modules), verma (lowest-weight Verma modules
-and generator actions), singular_solver (null spaces, closed forms and
-recurrences), submodule_quotient (maximal submodule, quotient dimensions and
-the classification verdict), cli (command-line front end).
+and generator actions), singular_solver (null spaces and closed forms),
+submodule_quotient (maximal submodule, quotient dimensions and the
+classification verdict), cli (command-line front end).  The paper's
+independent routes that only cross-check these (the recurrences, the chi11
+decomposition, the spanning words of W and the invariant-subspace search) and
+the tests' reference linear algebra live under tests/, in paper_routes.py and
+reference.py.
+
+The supported Python API is the names exported here, together with
+`singular_solver.find_singular` and `submodule_quotient.classify_module`.
 """
 
 from .graded_algebra import (AD_WEIGHT, DEGREE, GENERATORS, Element,

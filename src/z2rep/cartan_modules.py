@@ -10,17 +10,19 @@ entries sit on the parity-compatible chain positions.
 In the chain basis Rt is a companion matrix, so a chain module is cyclic,
 and its invariant subspaces are fixed by the divisors of the characteristic
 polynomial of Rt: q(s^2) for even n and s q(s^2) for odd n, with q the
-closing polynomial `t_polynomial` (rational canonical form).  Everything is
-exact over the rationals, so only subspaces defined over Q are exhibited:
-the part of q without rational roots is reported as one unresolved piece
-(reducible over an extension field, nothing exhibited).
+closing polynomial `t_polynomial` (rational canonical form).  `classify`
+reads the constituents off q and builds no matrix.  Everything is exact over
+the rationals, so only factors defined over Q are split off: the part of q
+without rational roots is reported as one unresolved piece (reducible over an
+extension field).  The search for an invariant subspace on the matrix of Rt,
+`find_invariant_subspace`, is a cross-check of the tests, in
+tests/paper_routes.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from . import linalg
 from .rationals import format_rational
@@ -30,23 +32,10 @@ MAX_DIM = 12  # largest chain dimension build_h_module accepts
 
 @dataclass(frozen=True)
 class HModule:
-    """Chain module: dim n, scalar r, closing coefficients c; Rt on request."""
+    """Chain module: dim n, scalar r, closing coefficients c."""
     n: int
     r: Fraction
     c: tuple[Fraction, ...]
-
-    @cached_property
-    def mat_rt(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Rt in the chain basis, built on first read and then kept."""
-        n = self.n
-        mat_rt = [[Fraction(0)] * n for _ in range(n)]
-        for k in range(n - 1):
-            mat_rt[k + 1][k] = Fraction(1)
-        # last column: parity forces the image onto positions n-1 mod 2
-        start = 1 if n % 2 else 0
-        for j, coeff in enumerate(self.c):
-            mat_rt[start + 2 * j][n - 1] = coeff
-        return tuple(map(tuple, mat_rt))
 
 
 @dataclass(frozen=True)
@@ -112,30 +101,6 @@ def _deflate(q: list[Fraction], lam: Fraction) -> list[Fraction]:
     for a in reversed(q[1:-1]):
         out.append(a + lam * out[-1])
     return out[::-1]
-
-
-def find_invariant_subspace(hm: HModule) -> list[list[Fraction]] | None:
-    """RREF basis of a proper invariant subspace defined over Q.
-
-    An odd chain above dimension one has the image of Rt, the span of the
-    tail vectors: an invariant subspace of dimension n - 1 with a nu_r on
-    top, not in general the bottom piece of the series.  An even chain has
-    the bottom piece of the series that `classify` lists: ker(Rt^2 - lambda)
-    = {w, Rt w} when a nu_r_lambda comes first and n > 2, ker Rt when a nu_r
-    does.  None means no invariant subspace exists over Q (the module may
-    still split over an extension).
-    """
-    n, rt = hm.n, hm.mat_rt
-    if n % 2:
-        return linalg.rref(list(zip(*rt)))[0] if n > 1 else None
-    first = classify(hm).constituents[0]
-    if first.kind == "nu_r_lambda" and n > 2:
-        shifted = [[sum(rt[i][k] * rt[k][j] for k in range(n))
-                    - (first.lam if i == j else 0) for j in range(n)] for i in range(n)]
-        return linalg.nullspace(shifted, n)
-    if first.kind == "nu_r":
-        return linalg.nullspace(rt, n)
-    return None
 
 
 def classify(hm: HModule) -> CartanReport:

@@ -7,6 +7,8 @@ integers once, every cross-multiplied row is divided by the gcd of its
 entries, and `echelon` picks the pivot of smallest absolute value, which keeps
 intermediate integers small.  `echelon_to_rref` back-substitutes in integers
 too and builds one Fraction per entry at the end.  No floating point anywhere.
+The routines that only tests use (rank, rref, det, char_poly and the like)
+are in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -68,16 +70,6 @@ def echelon(rows_int: list[list[int]]) -> Piece:
     return rows[:pr], pivots
 
 
-def rank(rows) -> int:
-    return len(echelon(_int_rows(rows))[1])
-
-
-def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form (leading ones, zeros above pivots)."""
-    ech, pivots = echelon(_int_rows(rows))
-    return echelon_to_rref(ech, pivots), pivots
-
-
 def echelon_to_rref(ech: list[list[int]], pivots: list[int]) -> list[list[Fraction]]:
     """The reduced row echelon form of the span of integer echelon rows.
 
@@ -137,16 +129,6 @@ def sparse_rank(rows: list[dict[int, int]],
     return len(table)
 
 
-def reduce_mod_span(rr_rows: list[list[Fraction]], pivots: list[int], vec) -> list[Fraction]:
-    """Remainder of vec after eliminating with an RREF basis of a subspace."""
-    v = [Fraction(x) for x in vec]
-    for i, pc in enumerate(pivots):
-        f = v[pc]
-        if f:
-            v = [a - f * b for a, b in zip(v, rr_rows[i])]
-    return v
-
-
 def nullspace(rows, ncols: int) -> list[list[Fraction]]:
     """RREF basis of the right kernel of the matrix.
 
@@ -170,63 +152,6 @@ def nullspace(rows, ncols: int) -> list[list[Fraction]]:
     return basis
 
 
-def solve_unique(a_rows, b) -> list[Fraction]:
-    """Solve A x = b exactly; raises ValueError unless the solution is unique."""
-    ncols = len(a_rows[0])
-    rr, pivots = rref([[*row, bi] for row, bi in zip(a_rows, b)])
-    if ncols in pivots:
-        raise ValueError("inconsistent linear system")
-    if len(pivots) < ncols:
-        raise ValueError("solution not unique")
-    x = [Fraction(0)] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = rr[i][ncols]
-    return x
-
-
-def _det_int(m: list[list[int]]) -> int:
-    """Bareiss fraction-free determinant of an integer matrix."""
-    n = len(m)
-    if n == 0:
-        return 1
-    m = [list(r) for r in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def det(a_rows) -> Fraction:
-    scale = 1
-    ints = []
-    for row in a_rows:
-        int_row, den = _int_row(row)
-        ints.append(int_row)
-        scale *= den
-    return Fraction(_det_int(ints), scale)
-
-
-def poly_mul(p, q) -> list[Fraction]:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
 def poly_eval(coeffs, x: Fraction) -> Fraction:
     """The polynomial at x, by Horner's rule; an integer polynomial at an
     integer point stays in ints."""
@@ -234,35 +159,6 @@ def poly_eval(coeffs, x: Fraction) -> Fraction:
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
-
-
-def char_poly(a_rows) -> list[Fraction]:
-    """Coefficients of det(x*I - A), ascending degree, computed exactly.
-
-    Uses determinant interpolation at n+1 integer points.
-    """
-    n = len(a_rows)
-    if n == 0:
-        return [Fraction(1)]
-    xs = [Fraction(i) for i in range(n + 1)]
-    ys = []
-    for x in xs:
-        m = [[(x if i == j else Fraction(0)) - Fraction(a_rows[i][j])
-              for j in range(n)] for i in range(n)]
-        ys.append(det(m))
-    coeffs = [Fraction(0)] * (n + 1)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            basis = poly_mul(basis, [-xj, Fraction(1)])
-            denom *= xi - xj
-        w = yi / denom
-        for p, c in enumerate(basis):
-            coeffs[p] += w * c
-    return coeffs
 
 
 def _primitive(p: list[int]) -> list[int]:

@@ -5,8 +5,8 @@ both lowering generators am and atm (annihilation by Lm and Ltm follows).
 `detect_singular_orders` is the one place the existence condition is solved:
 the orders M with r + 2M = 0 (Mr) or (r + 2M)^2 = lambda (MrLambda).  The
 closed forms, the predictions of `find_singular` and the submodule W all read
-their orders from it.  Three independent routes are implemented and
-cross-checked:
+their orders from it.  Two routes run in the engine, and `find_singular`
+compares them at every level and sector:
 
 * `find_singular` — the null space of (am, atm) on one degree sector of one
   level, by fraction-free elimination in `lowering_kernel`, which the
@@ -16,10 +16,13 @@ cross-checked:
   of the one-dimensional family.  `CLOSED_FORMS` is the one statement of
   where each form lives; its two coefficient families are the alpha = 0 and
   the alpha = 1 kets of that sector, in canonical order, and
-  `applicable_closed_form` and `closed_form_family_kets` read the same table;
-* `recurrence_solve` — set up the raw linear recurrences the annihilation
-  conditions impose on the ansatz coefficients and solve them as an exact
-  linear system, re-deriving the closed forms instead of evaluating them.
+  `applicable_closed_form` reads the same table.
+
+The third route re-derives the closed forms instead of evaluating them: it
+solves the raw linear recurrences that the annihilation conditions impose on
+the ansatz coefficients, as an exact linear system.  No command runs it; it is
+a cross-check in tests/paper_routes.py (`recurrence_solve`), which reads its
+coefficient families off `CLOSED_FORMS` through `_families`.
 """
 
 from __future__ import annotations
@@ -79,25 +82,12 @@ CLOSED_FORMS = {"chi01": (1, (0, 1), ("Mr", "MrLambda")),
                 "chi10": (1, (1, 0), ("Mr", "MrLambda")),
                 "chi11": (2, (1, 1), ("Mr",))}
 
-# the closed form whose coefficient families each recurrence system is named
-# after (MrLambda chi10 has no system of its own)
-_SYSTEM_FORMS = {"mu-nu": ("Mr", "chi01"), "alpha-beta": ("Mr", "chi10"),
-                 "gamma-delta": ("Mr", "chi11"), "mu-nu-lambda": ("MrLambda", "chi01"),
-                 "alpha-beta-lambda": ("MrLambda", "chi10")}
-
 
 def _families(kind: str, which: str, M: int) -> tuple[list[Ket], list[Ket]]:
     """The alpha = 0 and the alpha = 1 kets of the sector a closed form fills."""
     multiple, sector, _ = CLOSED_FORMS[which]
     kets = _sector_kets(kind, multiple * (2 * M + 1), sector)
     return [k for k in kets if k.alpha == 0], [k for k in kets if k.alpha == 1]
-
-
-def closed_form_family_kets(which: str, M: int) -> dict[str, list[Ket]]:
-    """Ket positions of each coefficient family of a closed form at order M."""
-    if which not in _SYSTEM_FORMS:
-        raise ValueError(f"no closed form backs {which!r}")
-    return dict(zip(which.split("-"), _families(*_SYSTEM_FORMS[which], M)))
 
 
 def closed_form(module: VermaModule, which: str, M: int) -> Vector:
@@ -278,171 +268,3 @@ def rtilde_check(module: VermaModule, which: str, M: int) -> RtildeCheck:
     other = closed_form(module, "chi10" if which == "chi01" else "chi01", M)
     stated = Fraction(2 * M + 1) if module.kind == "Mr" else 1 - module.r
     return RtildeCheck(which, proportionality(image, other), stated)
-
-
-def verify_rtilde_relations(module: VermaModule, M: int) -> list[RtildeCheck]:
-    """rtilde_check on chi01, chi10 and, for Mr, chi11."""
-    kinds = ("chi01", "chi10", "chi11") if module.kind == "Mr" else ("chi01", "chi10")
-    return [rtilde_check(module, which, M) for which in kinds]
-
-
-# --- recurrence systems -----------------------------------------------------
-
-class _LinearSystem:
-    """Homogeneous exact system over named coefficient families.
-
-    References to indices outside a family's declared range denote absent
-    ansatz coefficients and drop out of the relation.
-    """
-
-    def __init__(self, families: list[tuple[str, int]]):
-        self.sizes = dict(families)
-        self.order = [name for name, _ in families]
-        self.offsets = {}
-        total = 0
-        for name, size in families:
-            self.offsets[name] = total
-            total += size
-        self.total = total
-        self.rows: list[list[Fraction]] = []
-
-    def add(self, terms: list[tuple[str, int, Fraction]]) -> None:
-        row = [Fraction(0)] * self.total
-        for family, j, coeff in terms:
-            if 0 <= j < self.sizes[family]:
-                row[self.offsets[family] + j] += Fraction(coeff)
-        if any(row):
-            self.rows.append(row)
-
-    def solutions(self) -> list[dict[str, list[Fraction]]]:
-        split = []
-        for vec in linalg.nullspace(self.rows, self.total):
-            sol = {}
-            for name in self.order:
-                off = self.offsets[name]
-                sol[name] = vec[off:off + self.sizes[name]]
-            split.append(sol)
-        return split
-
-
-def _sys_mu_nu(M: int, r: Fraction, _lam=None) -> _LinearSystem:
-    K = M // 2
-    top = K - 1 if M % 2 == 0 else K
-    sys = _LinearSystem([("mu", M // 2 + 1), ("nu", (M - 1) // 2 + 1)])
-    for j in range(top + 1):
-        sys.add([("mu", j, 2 * (M - 2 * j)), ("nu", j, 2 * j + 1)])
-    for j in range(K):
-        sys.add([("mu", j + 1, j + 1), ("nu", j, -(r + M + 2 * j + 1))])
-    if M % 2 == 1:
-        sys.add([("nu", K, r + 2 * M)])
-    sys.add([("mu", 0, 2 * (r + M)), ("nu", 0, -1)])
-    for j in range(K):
-        sys.add([("mu", j + 1, j + 1), ("nu", j, M - 2 * j - 1)])
-    for j in range(1, top + 1):
-        sys.add([("mu", j, 2 * (r + M - 2 * j)), ("nu", j, -(2 * j + 1)),
-                 ("nu", j - 1, -8 * (M - 2 * j + 1))])
-    if M % 2 == 0:
-        sys.add([("mu", K, r), ("nu", K - 1, -4)])
-    return sys
-
-
-def _sys_alpha_beta(M: int, r: Fraction, _lam=None) -> _LinearSystem:
-    K = M // 2
-    top = K - 1 if M % 2 == 0 else K
-    sys = _LinearSystem([("alpha", (M - 1) // 2 + 1), ("beta", K + 1)])
-    for j in range(K):
-        sys.add([("alpha", j, M - 2 * j - 1), ("beta", j + 1, j + 1)])
-    for j in range(top + 1):
-        sys.add([("alpha", j, -(2 * j + 1)), ("beta", j, 2 * (r + M + 2 * j))])
-    if M % 2 == 0:
-        sys.add([("beta", K, r + 2 * M)])
-    for j in range(top + 1):
-        sys.add([("alpha", j, 2 * j + 1), ("beta", j, 2 * (M - 2 * j))])
-    for j in range(K):
-        sys.add([("alpha", j, r + M - 2 * j - 1), ("beta", j, -4 * (M - 2 * j)),
-                 ("beta", j + 1, -(j + 1))])
-    if M % 2 == 1:
-        sys.add([("alpha", K, r), ("beta", K, -4)])
-    return sys
-
-
-def _sys_rho_sigma(M: int, r: Fraction, _lam=None) -> _LinearSystem:
-    K = M // 2
-    sys = _LinearSystem([("rho", K + 1), ("sigma", K)])
-    for j in range(K):
-        sys.add([("rho", j, 2 * (M - 2 * j)), ("sigma", j, -(2 * j + 1))])
-    for j in range(1, K + 1):
-        sys.add([("rho", j, j), ("sigma", j - 1, r + M + 2 * j - 1)])
-    if M % 2 == 1:
-        sys.add([("rho", K, 1)])
-    sys.add([("rho", 0, 2 * M), ("sigma", 0, 1)])
-    for j in range(1, K):
-        sys.add([("rho", j, 2 * (M - 2 * j)), ("sigma", j, 2 * j + 1),
-                 ("sigma", j - 1, 8 * (M - 2 * j))])
-    for j in range(1, K + 1):
-        sys.add([("rho", j, -j), ("sigma", j - 1, r + M - 2 * j - 1)])
-    if M % 2 == 1:
-        sys.add([("rho", K, 1), ("sigma", K - 1, 4)])
-    return sys
-
-
-def _sys_gamma_delta(M: int, r: Fraction, _lam=None) -> _LinearSystem:
-    K = M // 2
-    count = K if M % 2 == 0 else K + 1
-    top = count - 1
-    sys = _LinearSystem([("gamma", count), ("delta", count)])
-    for j in range(1, top + 1):
-        sys.add([("gamma", j - 1, M - 2 * j + 1), ("delta", j, -j)])
-    for j in range(top + 1):
-        sys.add([("gamma", j, 2 * j + 1), ("delta", j, 2 * (r + M + 2 * j))])
-    if M % 2 == 0 and K >= 1:
-        sys.add([("gamma", K - 1, 1)])
-    for j in range(1, top + 1):
-        sys.add([("gamma", j - 1, M - 2 * j + 1), ("delta", j - 1, 4 * (M - 2 * j + 1)),
-                 ("delta", j, j)])
-    for j in range(top + 1):
-        sys.add([("gamma", j, 2 * j + 1), ("delta", j, -2 * (r + M - 2 * j - 2))])
-    if M % 2 == 0 and K >= 1:
-        sys.add([("gamma", K - 1, 1), ("delta", K - 1, 4)])
-    return sys
-
-
-def _sys_mu_nu_lambda(M: int, r: Fraction, lam) -> _LinearSystem:
-    if lam is None:
-        raise ValueError("mu-nu-lambda needs lambda")
-    lam = Fraction(lam)
-    sys = _LinearSystem([("mu", M + 1), ("nu", M + 1)])
-    sys.add([("mu", M, lam ** (M % 2)), ("nu", M, -(r + 2 * M))])
-    for j in range(M):
-        sys.add([("mu", j + 1, j + 1), ("mu", j, 2 * lam ** (j % 2)),
-                 ("nu", j, -2 * (r + M + j))])
-    for j in range(M):
-        sys.add([("mu", j, 2 * (M - j)), ("nu", j + 1, j + 1)])
-    sys.add([("mu", 0, 2 * (r + M)), ("nu", 1, -1), ("nu", 0, -2 * lam)])
-    for j in range(1, M):
-        sys.add([("mu", j, 2 * (r + M - j)), ("nu", j + 1, -(j + 1)),
-                 ("nu", j - 1, -8 * (M - j + 1)), ("nu", j, -2 * lam ** ((j + 1) % 2))])
-    sys.add([("mu", M, r), ("nu", M - 1, -4), ("nu", M, -lam ** ((M + 1) % 2))])
-    for j in range(M):
-        sys.add([("mu", j + 1, j + 1), ("nu", j, 2 * (M - j))])
-    return sys
-
-
-# each recurrence system's builder; the Mr systems ignore lambda
-_SYSTEMS = {"mu-nu": _sys_mu_nu, "alpha-beta": _sys_alpha_beta, "rho-sigma": _sys_rho_sigma,
-            "gamma-delta": _sys_gamma_delta, "mu-nu-lambda": _sys_mu_nu_lambda}
-
-
-def recurrence_solve(which: str, M: int, r,
-                     lam=None) -> list[dict[str, list[Fraction]]]:
-    """Solution space of one annihilation recurrence system.
-
-    For the odd-level systems (mu-nu, alpha-beta, mu-nu-lambda) M labels the
-    level 2M+1.  For the even-level systems (rho-sigma, gamma-delta) M is the
-    half-level: the system lives at level 2M, and the gamma-delta system is
-    nontrivial only for odd M = 2K+1 with r + 2K = 0.
-    """
-    r = Fraction(r)
-    if which not in _SYSTEMS:
-        raise ValueError(f"unknown recurrence system {which!r}")
-    return _SYSTEMS[which](M, r, lam).solutions()

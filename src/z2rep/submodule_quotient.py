@@ -6,9 +6,10 @@ the raising generators, for every order M that
 `build_submodule` computes W once, as the bare span of the raising images
 (level by level, one Z2xZ2 sector at a time, integer echelon rows), which
 never assumes the dimension formula; `Submodule.pieces` is the one
-representation of W that every verdict reads.  Independently, the
-level-(2M+1+q) slice has the explicit spanning family built from words in ap
-and atp applied to the two singular vectors.
+representation of W that every verdict reads.  The tests hold two
+independent routes in tests/paper_routes.py: the explicit spanning family of
+the level-(2M+1+q) slice, words in ap and atp applied to the two singular
+vectors, and the decomposition of chi11 over raising words applied to them.
 
 For the one-dimensional family the quotient truncates: dim W saturates the
 whole weight space beyond offset q = 2M, which is where the per-level
@@ -20,15 +21,12 @@ per-level dimension 4M+2 forever.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb
 
 from . import linalg
 from .graded_algebra import DEGREE, Degree, degree_add
 from .singular_solver import (closed_form, detect_singular_orders, lowering_kernel,
                               sectors_for_level)
-from .verma import (ConsistencyError, VermaModule, Vector, act_word, action_rows,
-                    enumerate_level, sector_kets)
+from .verma import ConsistencyError, VermaModule, Vector, action_rows, sector_kets
 
 MAX_LEVEL = 200  # highest level a table, a sweep or a classification may reach
 
@@ -39,43 +37,6 @@ def singular_pair(module: VermaModule, M: int) -> tuple[Vector, Vector]:
 
 def verma_dim(module: VermaModule, n: int) -> int:
     return n + 1 if module.kind == "Mr" else 2 * (n + 1)
-
-
-def wbasis_words(q: int) -> list[tuple[str, ...]]:
-    """Raising words (leftmost factor applied last) spanning one chi-branch at offset q."""
-    words: list[tuple[str, ...]] = [("ap",) * q]
-    for j in range(1, q // 2 + 1):
-        tail = ("ap",) * (q - 2 * j)
-        words.append(("atp", "ap") * j + tail)
-        words.append(("ap", "atp") * j + tail)
-    if q % 2 == 1:
-        words.append(("atp", "ap") * ((q - 1) // 2) + ("atp",))
-    return words
-
-
-def submodule_basis(module: VermaModule, M: int, q: int) -> list[Vector]:
-    """The explicit spanning family of W at offset q above level 2M+1.
-
-    Checks exact linear independence: the family must have rank 2(q+1).
-    For the one-dimensional module family this holds only up to q = 2M;
-    beyond that the ambient weight space is too small and W saturates it,
-    so the offset is rejected.
-    """
-    if q < 0:
-        raise ValueError("offset must be nonnegative")
-    if module.kind == "Mr" and q > 2 * M:
-        raise ValueError(
-            f"offset {q} exceeds the saturation bound 2M = {2 * M}; "
-            "the submodule fills the whole weight space there")
-    chi01, chi10 = singular_pair(module, M)
-    vectors = [act_word(w, chi) for chi in (chi01, chi10) for w in wbasis_words(q)]
-    kets = list(enumerate_level(module, 2 * M + 1 + q))
-    rows = [v.coords(kets) for v in vectors]
-    if linalg.rank(rows) != 2 * (q + 1):
-        raise ConsistencyError(
-            f"spanning family at offset {q} has rank {linalg.rank(rows)}, "
-            f"expected {2 * (q + 1)}")
-    return vectors
 
 
 @dataclass
@@ -134,74 +95,6 @@ def build_submodule(module: VermaModule, max_level: int) -> Submodule:
     return Submodule(module, pieces)
 
 
-def membership_matrix(M: int) -> list[list[int]]:
-    """Coefficient matrix of the chi11 decomposition system (integer entries)."""
-    a = [[0] * (M + 1) for _ in range(M + 1)]
-    for j in range(M + 1):
-        for p in range(M + 1):
-            if 0 <= 2 * j - p <= M:
-                a[j][p] = 2 ** (2 * j + 1 - p) * comb(M, 2 * j - p)
-    return a
-
-
-def membership_words(M: int) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """Word pairs (applied to chi01 and chi10) whose sums carry the decomposition.
-
-    Entry p is the pair for the unknown c_p, ordered p = 0..M.
-    """
-    words: list[tuple[tuple[str, ...], tuple[str, ...]]] = [None] * (M + 1)
-    for k in range(M // 2 + 1):
-        w01 = ("atp",) + ("ap",) * (2 * (M - 2 * k)) + ("Ltp",) * (2 * k)
-        w10 = ("ap",) * (2 * (M - 2 * k) + 1) + ("Ltp",) * (2 * k)
-        words[2 * k] = (w01, w10)
-    for k in range((M - 1) // 2 + 1):
-        w01 = ("ap",) * (2 * (M - 2 * k) - 1) + ("Ltp",) * (2 * k + 1)
-        w10 = ("atp",) + ("ap",) * (2 * (M - 2 * k - 1)) + ("Ltp",) * (2 * k + 1)
-        words[2 * k + 1] = (w01, w10)
-    return words
-
-
-@dataclass
-class MembershipReport:
-    M: int
-    coefficients: list[Fraction]
-    matrix: list[list[int]]
-    determinant: Fraction
-    residual_zero: bool
-
-
-def chi11_membership(M: int) -> MembershipReport:
-    """Decompose the (1,1)-sector singular vector over raising words applied
-    to chi01 and chi10, exactly.
-
-    Solves the vector equation directly, then cross-checks the structured
-    coefficient matrix: it must be nonsingular and reproduce the same unique
-    solution.
-    """
-    module = VermaModule("Mr", Fraction(-2 * M))
-    chi01, chi10 = singular_pair(module, M)
-    chi11 = closed_form(module, "chi11", M)
-    columns = [act_word(w01, chi01) + act_word(w10, chi10)
-               for w01, w10 in membership_words(M)]
-    kets = list(enumerate_level(module, 2 * (2 * M + 1)))
-    a_rows = list(zip(*(col.coords(kets) for col in columns)))
-    rhs = chi11.coords(kets)
-    coeffs = linalg.solve_unique(a_rows, rhs)
-    combo = sum((c * col for c, col in zip(coeffs, columns)),
-                Vector(module, {}))
-    residual_zero = (chi11 - combo).is_zero()
-    matrix = membership_matrix(M)
-    determinant = linalg.det(matrix)
-    if determinant == 0:
-        raise ConsistencyError("structured coefficient matrix is singular")
-    structured = linalg.solve_unique(matrix,
-                                     [Fraction((-4) ** j * comb(M, j))
-                                      for j in range(M + 1)])
-    if structured != coeffs:
-        raise ConsistencyError("structured system disagrees with the vector system")
-    return MembershipReport(M, coeffs, matrix, determinant, residual_zero)
-
-
 def _dims_table(w: Submodule, max_level: int) -> list[dict]:
     rows = []
     for n in range(max_level + 1):
@@ -256,10 +149,16 @@ def classify_module(module: VermaModule,
     Cases: (i) the one-parameter Verma module is already irreducible,
     (ii) it truncates to total dimension (2M+1)^2, (iii) the two-parameter
     Verma module is irreducible, (iv) it has an infinite-dimensional quotient
-    of constant per-level dimension.  "Infinite" means the per-level table is
-    verified non-terminating up to the level cap.  When the case-iv
+    of constant per-level dimension.  The per-level table is that of V/W,
+    with W built from the closed-form singular vectors.  When the case-iv
     constraint holds at two orders (integer r), the quotient is finite; the
     cap is raised to 2(M1 + M2) + 2 so that the table reaches past its end.
+    Only a finite verdict is checked here to have no singular vector in the
+    quotient, by `_quotient_has_no_singular`.  "Infinite" means only that the
+    table of V/W does not end below the level cap: that it is the irreducible
+    quotient, in cases i, iii and single-order iv, is checked by the test
+    suite alone (`test_infinite_verdict_tables_are_the_irreducible_quotient`,
+    on ten modules).
     """
     orders = detect_singular_orders(module)
     if module.kind == "Mr":

@@ -177,10 +177,6 @@ class Vector:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def zero_vector(module: VermaModule) -> Vector:
-    return Vector(module, {})
-
-
 class ConsistencyError(RuntimeError):
     """An internal cross-check that should be a theorem failed."""
 
@@ -330,13 +326,6 @@ def action_rows(module: VermaModule, gen: str, kets: list[Ket], targets: list[Ke
                 row.append((index[tket], c))
         out.append(row)
     return out
-
-
-def act_word(word: tuple[str, ...], vec: Vector) -> Vector:
-    """Apply a product of generators, rightmost factor first."""
-    for gen in reversed(word):
-        vec = act(gen, vec)
-    return vec
 
 
 def act_element(elem: Element, vec: Vector) -> Vector:

@@ -1,0 +1,152 @@
+"""Oracles the tests compare the engine against: exact linear algebra over
+the rationals, seeded sampling, and words of generators on Verma vectors.
+
+No command of the engine runs any of these; they check it.  The linear
+algebra is built on the engine's own fraction-free elimination
+(`linalg.echelon`), except `det` and `char_poly`, which are independent of it.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+from z2rep.linalg import _int_row, _int_rows, echelon, echelon_to_rref
+from z2rep.verma import VermaModule, Vector, act
+
+
+def rank(rows) -> int:
+    return len(echelon(_int_rows(rows))[1])
+
+
+def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form (leading ones, zeros above pivots)."""
+    ech, pivots = echelon(_int_rows(rows))
+    return echelon_to_rref(ech, pivots), pivots
+
+
+def reduce_mod_span(rr_rows: list[list[Fraction]], pivots: list[int], vec) -> list[Fraction]:
+    """Remainder of vec after eliminating with an RREF basis of a subspace."""
+    v = [Fraction(x) for x in vec]
+    for i, pc in enumerate(pivots):
+        f = v[pc]
+        if f:
+            v = [a - f * b for a, b in zip(v, rr_rows[i])]
+    return v
+
+
+def solve_unique(a_rows, b) -> list[Fraction]:
+    """Solve A x = b exactly; raises ValueError unless the solution is unique."""
+    ncols = len(a_rows[0])
+    rr, pivots = rref([[*row, bi] for row, bi in zip(a_rows, b)])
+    if ncols in pivots:
+        raise ValueError("inconsistent linear system")
+    if len(pivots) < ncols:
+        raise ValueError("solution not unique")
+    x = [Fraction(0)] * ncols
+    for i, pc in enumerate(pivots):
+        x[pc] = rr[i][ncols]
+    return x
+
+
+def _det_int(m: list[list[int]]) -> int:
+    """Bareiss fraction-free determinant of an integer matrix."""
+    n = len(m)
+    if n == 0:
+        return 1
+    m = [list(r) for r in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def det(a_rows) -> Fraction:
+    scale = 1
+    ints = []
+    for row in a_rows:
+        int_row, den = _int_row(row)
+        ints.append(int_row)
+        scale *= den
+    return Fraction(_det_int(ints), scale)
+
+
+def poly_mul(p, q) -> list[Fraction]:
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def char_poly(a_rows) -> list[Fraction]:
+    """Coefficients of det(x*I - A), ascending degree, computed exactly.
+
+    Uses determinant interpolation at n+1 integer points.
+    """
+    n = len(a_rows)
+    if n == 0:
+        return [Fraction(1)]
+    xs = [Fraction(i) for i in range(n + 1)]
+    ys = []
+    for x in xs:
+        m = [[(x if i == j else Fraction(0)) - Fraction(a_rows[i][j])
+              for j in range(n)] for i in range(n)]
+        ys.append(det(m))
+    coeffs = [Fraction(0)] * (n + 1)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for j, xj in enumerate(xs):
+            if j == i:
+                continue
+            basis = poly_mul(basis, [-xj, Fraction(1)])
+            denom *= xi - xj
+        w = yi / denom
+        for p, c in enumerate(basis):
+            coeffs[p] += w * c
+    return coeffs
+
+
+def sample_rationals(count: int, seed: int, lo: int = -50, hi: int = 50,
+                     predicate=None) -> list[Fraction]:
+    """Reproducible nonzero rationals, numerator in [lo, hi], denominator in [1, hi].
+
+    An optional predicate filters the stream (rejection sampling), so the
+    result is still fully determined by the seed.
+    """
+    rng = random.Random(seed)
+    out: list[Fraction] = []
+    while len(out) < count:
+        num = rng.randint(lo, hi)
+        den = rng.randint(1, hi)
+        if num == 0:
+            continue
+        x = Fraction(num, den)
+        if predicate is None or predicate(x):
+            out.append(x)
+    return out
+
+
+def zero_vector(module: VermaModule) -> Vector:
+    return Vector(module, {})
+
+
+def act_word(word: tuple[str, ...], vec: Vector) -> Vector:
+    """Apply a product of generators, rightmost factor first."""
+    for gen in reversed(word):
+        vec = act(gen, vec)
+    return vec

@@ -7,17 +7,16 @@ tolerance.
 
 from fractions import Fraction
 
-from z2rep import linalg
-from z2rep.cartan_modules import build_h_module, classify, find_invariant_subspace
+from paper_routes import (chi11_membership, closed_form_family_kets,
+                          find_invariant_subspace, membership_matrix,
+                          recurrence_solve, submodule_basis, verify_rtilde_relations)
+from reference import poly_mul, sample_rationals
+from z2rep.cartan_modules import build_h_module, classify
 from z2rep.graded_algebra import GENERATORS, verify_axioms
-from z2rep.rationals import sample_rationals
-from z2rep.singular_solver import (closed_form, closed_form_family_kets,
-                                   find_singular, proportionality,
-                                   recurrence_solve, sectors_for_level,
-                                   verify_rtilde_relations)
-from z2rep.submodule_quotient import (build_submodule, chi11_membership,
-                                      classify_module, membership_matrix,
-                                      quotient_dims, submodule_basis, verma_dim)
+from z2rep.singular_solver import (closed_form, find_singular, proportionality,
+                                   sectors_for_level)
+from z2rep.submodule_quotient import (build_submodule, classify_module,
+                                      quotient_dims, verma_dim)
 from z2rep.verma import (VermaModule, Vector, enumerate_level,
                          representation_residual)
 
@@ -258,7 +257,7 @@ def test_criterion_10_constant_quotients():
 def _even_c_from_roots(roots):
     poly = [Fraction(1)]
     for root in roots:
-        poly = linalg.poly_mul(poly, [-Fraction(root), Fraction(1)])
+        poly = poly_mul(poly, [-Fraction(root), Fraction(1)])
     return [-poly[j] for j in range(len(roots))]
 
 

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from z2rep import linalg
+from paper_routes import find_invariant_subspace
+from reference import char_poly, poly_mul, reduce_mod_span, rref
 from z2rep.cartan_modules import (HModule, build_h_module, classify, expected_c_length,
-                                  find_invariant_subspace, t_polynomial)
+                                  t_polynomial)
 
 
 def F(x):
@@ -19,9 +20,9 @@ def mat_vec(mat, vec):
 
 
 def is_invariant(hm: HModule, rows) -> bool:
-    rr, pivots = linalg.rref(rows)
+    rr, pivots = rref(rows)
     for row in rr:
-        red = linalg.reduce_mod_span(rr, pivots, mat_vec(hm.mat_rt, row))
+        red = reduce_mod_span(rr, pivots, mat_vec(hm.mat_rt, row))
         if any(red):
             return False
     return True
@@ -113,7 +114,7 @@ def test_parity_blocks_of_rt_squared_have_closing_polynomial():
                 idx = [i for i in range(n) if i % 2 == p]
                 assert all(sq[i][j] == 0 for i in idx for j in range(n) if j % 2 != p)
                 block = [[sq[i][j] for j in idx] for i in idx]
-                assert linalg.char_poly(block) == t_polynomial(n, c)
+                assert char_poly(block) == t_polynomial(n, c)
 
 
 def test_even_chain_all_zero_closing():
@@ -193,7 +194,7 @@ def _chain_from_factors(rng):
         else:
             f = [F(x) for x in rng.choice([g for g in IRREDUCIBLE if len(g) <= room + 1])]
         for _ in range(rng.randint(1, room // (len(f) - 1))):
-            q = linalg.poly_mul(q, f)
+            q = poly_mul(q, f)
             if len(f) > 2:
                 irreducible += len(f) - 1
             elif f[0]:

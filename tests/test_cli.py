@@ -108,6 +108,15 @@ def test_zero_denominator_is_a_usage_error_that_names_its_input(argv, text, caps
     assert code == 2 and out == "" and err == f"error: zero denominator in {text!r}\n"
 
 
+@pytest.mark.parametrize("text", ["2.5", "1e3", "1/2/3", "abc"])
+@pytest.mark.parametrize("argv", [("singular", "--kind", "mr", "--level", "1", "--r={}"),
+                                  ("cartan", "--n", "5", "--r", "0", "--c=1,{}")])
+def test_malformed_rational_is_a_usage_error_that_names_its_input(argv, text, capsys):
+    code, out, err = run_cli(capsys, *(a.format(text) for a in argv))
+    assert code == 2 and out == ""
+    assert err == f"error: malformed rational {text!r}: expected p/q or an integer\n"
+
+
 def test_singular_requires_lambda_for_mrl(capsys):
     code, _, err = run_cli(capsys, "singular", "--kind", "mrl", "--r", "1",
                            "--level", "1")

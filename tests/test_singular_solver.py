@@ -3,11 +3,10 @@ from math import comb
 
 import pytest
 
+from paper_routes import closed_form_family_kets, recurrence_solve, verify_rtilde_relations
 from z2rep.singular_solver import (ConstraintError, applicable_closed_form,
-                                   closed_form, closed_form_family_kets,
-                                   find_singular, proportionality,
-                                   recurrence_solve, sectors_for_level,
-                                   verify_rtilde_relations)
+                                   closed_form, find_singular, proportionality,
+                                   sectors_for_level)
 from z2rep.verma import Ket, VermaModule, Vector, act
 
 

@@ -2,13 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from z2rep import linalg, submodule_quotient
+from paper_routes import chi11_membership, membership_matrix, submodule_basis, wbasis_words
+from reference import rank
+from z2rep import submodule_quotient
 from z2rep.singular_solver import closed_form, find_singular, sectors_for_level
-from z2rep.submodule_quotient import (ConsistencyError, build_submodule, chi11_membership,
+from z2rep.submodule_quotient import (ConsistencyError, build_submodule,
                                       classify_module, detect_singular_orders,
-                                      membership_matrix, quotient_dims,
-                                      singular_pair, submodule_basis,
-                                      verma_dim, wbasis_words)
+                                      quotient_dims, singular_pair, verma_dim)
 from z2rep.verma import VermaModule, Vector, act, enumerate_level, sector_kets
 
 
@@ -32,7 +32,7 @@ def in_w(w, vec, n):
         return True
     rows = w.pieces.get(n, {}).get(vec.degree(), ([], []))[0]
     kets = sector_kets(w.module, n, vec.degree())
-    return linalg.rank(rows + [vec.coords(kets)]) == len(rows)
+    return rank(rows + [vec.coords(kets)]) == len(rows)
 
 
 def test_wbasis_word_counts():
@@ -58,7 +58,7 @@ def test_submodule_basis_examples():
     basis = submodule_basis(mod, 1, 2)
     assert len(basis) == 6
     kets = list(enumerate_level(mod, 5))
-    assert linalg.rank([v.coords(kets) for v in basis]) == 6
+    assert rank([v.coords(kets) for v in basis]) == 6
 
 
 def test_submodule_basis_rejects_saturated_offsets():

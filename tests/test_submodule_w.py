@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from reference import reduce_mod_span, rref
 from z2rep import linalg
 from z2rep.submodule_quotient import (Submodule, _quotient_has_no_singular,
                                       build_submodule, classify_module,
@@ -44,7 +45,7 @@ def bfs_span_dims(module, max_level, orders):
             cands.append(act("Lp", v))
             cands.append(act("Ltp", v))
         kets = list(enumerate_level(module, n))
-        rr, pivots = linalg.rref([v.coords(kets) for v in cands if not v.is_zero()])
+        rr, pivots = rref([v.coords(kets) for v in cands if not v.is_zero()])
         out[n] = (rr, pivots, kets)
         prev, prev2 = [Vector(module, dict(zip(kets, row))) for row in rr], prev
     return out
@@ -63,7 +64,7 @@ def fraction_quotient_check(module, spans, n):
     for col, i in enumerate(comp):
         vec = Vector(module, {kets[i]: Fraction(1)})
         for block, gen in enumerate(("am", "atm")):
-            red = linalg.reduce_mod_span(rr_b, pivots_b, act(gen, vec).coords(below))
+            red = reduce_mod_span(rr_b, pivots_b, act(gen, vec).coords(below))
             for rowpos, j in enumerate(comp_b):
                 rows[block * len(comp_b) + rowpos][col] = red[j]
     return not linalg.nullspace(rows, len(comp))
@@ -96,7 +97,7 @@ def test_builder_matches_fraction_bfs(module, cap):
             place = [kets.index(ket) for ket in sector_kets(module, n, sector)]
             mine = [row for row, pc in zip(rr, pivots) if pc in place]
             assert all(not x for row in mine for j, x in enumerate(row) if j not in place)
-            assert [[row[j] for j in place] for row in mine] == linalg.rref(rows)[0], \
+            assert [[row[j] for j in place] for row in mine] == rref(rows)[0], \
                 f"level {n} sector {sector}"
     assert all(_quotient_has_no_singular(w, n) == fraction_quotient_check(module, old, n)
                for n in range(1, top + 1))

@@ -10,10 +10,10 @@ from z2rep import verma
 from z2rep.graded_algebra import (AD_WEIGHT, DEGREE, GENERATORS, STRUCTURE_TABLE, degree_add,
                                   degree_dot)
 from z2rep.singular_solver import find_singular, sectors_for_level
+from reference import act_word, zero_vector
 from z2rep.verma import (Ket, VermaModule, Vector, act, act_element,
-                         act_word, action_rows, enumerate_level, ket_sort_key,
-                         representation_residual, sector_kets, vector_to_json,
-                         zero_vector)
+                         action_rows, enumerate_level, ket_sort_key,
+                         representation_residual, sector_kets, vector_to_json)
 from z2rep.graded_algebra import Element
 
 MR = VermaModule("Mr", Fraction(1))
