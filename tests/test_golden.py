@@ -102,6 +102,8 @@ FAILING = {
     "verify_algebra_mutate_antisymmetry": ("verify-algebra", "--mutate", "[R,R]=R"),
     "verify_algebra_mutate_degree": ("verify-algebra", "--mutate", "[R,Lp]=ap"),
     "verify_algebra_mutate_jacobi": ("verify-algebra", "--mutate", "[R,Lp]=Lp"),
+    # a rational entry: the Jacobi sums run over the lcm of the denominators, 3
+    "verify_algebra_mutate_jacobi_rational": ("verify-algebra", "--mutate", "{ap,am}=2/3*R"),
 }
 
 
