@@ -14,7 +14,7 @@ from reference import act_word, zero_vector
 from z2rep.verma import (Ket, VermaModule, Vector, act, act_element,
                          action_rows, enumerate_level, ket_sort_key,
                          representation_residual, sector_kets, vector_to_json)
-from z2rep.graded_algebra import Element
+from z2rep.graded_algebra import Element, mutated_table
 
 MR = VermaModule("Mr", Fraction(1))
 MRL = VermaModule("MrLambda", Fraction(1), Fraction(1))
@@ -422,6 +422,29 @@ def test_integer_accumulator_on_zero_and_cancelling_vectors(module):
     image = act("am", vec)
     assert target not in image.terms and not image.is_zero()
     assert image.terms == _ref_act(module, "am", vec.terms)
+
+
+@pytest.mark.parametrize("module", [VermaModule("Mr", Fraction(-5, 3)),
+                                    VermaModule("MrLambda", Fraction(2, 7), Fraction(-9, 4))],
+                         ids=["Mr", "MrLambda"])
+def test_residual_of_a_wrong_bracket_is_nonzero(module, monkeypatch):
+    # with [[ap, am]] = 2/3 R in place of 2 R, the composites still give 2 R,
+    # so the residual on the two affected pairs is 4/3 R v: nonzero, and over
+    # a bracket denominator of 3
+    table = mutated_table({("ap", "am"): Element({"R": Fraction(2, 3)})})
+    monkeypatch.setattr(verma, "STRUCTURE_TABLE", table)
+    kets = [ket for n in range(4) for ket in verma._level_kets(module.kind, n)]
+    vec = Vector(module, {ket: Fraction(i + 1, 2 * i + 3) for i, ket in enumerate(kets)})
+    v = vec.terms
+    for g1 in GENERATORS:
+        for g2 in GENERATORS:
+            sign = -1 if degree_dot(DEGREE[g1], DEGREE[g2]) else 1
+            parts = [(1, _ref_act(module, g1, _ref_act(module, g2, v))),
+                     (-sign, _ref_act(module, g2, _ref_act(module, g1, v)))]
+            parts += [(-c, _ref_act(module, x, v)) for x, c in table[(g1, g2)].terms.items()]
+            residual = representation_residual(g1, g2, vec)
+            assert residual.terms == _ref_combine(parts), (g1, g2)
+            assert residual.is_zero() == ((g1, g2) not in (("ap", "am"), ("am", "ap")))
 
 
 def test_vector_coefficients_are_nonzero_fractions():
