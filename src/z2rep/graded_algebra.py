@@ -6,14 +6,17 @@ homogeneous elements is a commutator when the Z2 dot product of their degrees
 is 0 and an anticommutator when it is 1.  The full table of structure
 constants is stored explicitly for every ordered generator pair so that
 antisymmetry is a checkable property rather than an assumption.  `SIGN` is
-the one statement of the graded sign, and `_bracket_sum` sums the Jacobi
-residual of each triple in one dict, as `verma._act_sum` sums the action.
+the one statement of the graded sign.  `verify_axioms` works on an integer
+view of the table, every entry over the lcm of its denominators, and sums
+each antisymmetry and Jacobi residual in integers; it builds an `Element`
+only for the residual it reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from math import lcm
 
 from .rationals import format_rational
 
@@ -162,20 +165,15 @@ STRUCTURE_TABLE: Table = _with_entries(
     {pair: Element(terms) for pair, terms in _BASE_RELATIONS.items()})
 
 
-def _bracket_sum(parts: list[tuple[Fraction | int, str, Element]], tbl: Table) -> Element:
-    """Sum of s * [[gen, y]] over the parts (s, gen, y), in one dict and one Element."""
-    out: dict[str, Fraction] = {}
-    for s, gen, y in parts:
-        for gy, cy in y.terms.items():
-            for g, c in tbl[(gen, gy)].terms.items():
-                out[g] = out.get(g, 0) + s * cy * c
-    return Element(out)
-
-
 def bracket(x: Element, y: Element, table: Table | None = None) -> Element:
     """General Lie bracket, extended bilinearly over the generator table."""
     tbl = STRUCTURE_TABLE if table is None else table
-    return _bracket_sum([(c, gen, y) for gen, c in x.terms.items()], tbl)
+    out: dict[str, Fraction] = {}
+    for gx, cx in x.terms.items():
+        for gy, cy in y.terms.items():
+            for g, c in tbl[(gx, gy)].terms.items():
+                out[g] = out.get(g, 0) + cx * cy * c
+    return Element(out)
 
 
 def mutated_table(overrides: dict[tuple[str, str], Element]) -> Table:
@@ -207,33 +205,44 @@ def verify_axioms(table: Table | None = None) -> AxiomReport:
     """
     tbl = STRUCTURE_TABLE if table is None else table
     anti = deg = jac = 0
+    # the table in integers: every entry over L, the lcm of all its
+    # denominators, so each residual is a sum of integers over L or L**2
+    L = lcm(*[c.denominator for elem in tbl.values() for c in elem.terms.values()])
+    itab = {pair: [(g, c.numerator * (L // c.denominator)) for g, c in elem.terms.items()]
+            for pair, elem in tbl.items()}
 
-    def failed(check: str, generators: list[str], residual: Element) -> AxiomReport:
+    def failed(check: str, generators: list[str], residual: dict[str, int],
+               q: int) -> AxiomReport:
+        elem = Element({g: Fraction(t, q) for g, t in residual.items()})
         return AxiomReport(False, anti, deg, jac, {
-            "check": check, "generators": generators, "residual": repr(residual)})
+            "check": check, "generators": generators, "residual": repr(elem)})
 
     for x in GENERATORS:
         for y in GENERATORS:
-            residual = tbl[(x, y)] + SIGN[x, y] * tbl[(y, x)]
             # residual = [[X,Y]] + (-1)^{x.y} [[Y,X]]
-            if not residual.is_zero():
-                return failed("antisymmetry", [x, y], residual)
+            out = dict(itab[(x, y)])
+            for g, c in itab[(y, x)]:
+                out[g] = out.get(g, 0) + SIGN[x, y] * c
+            if any(out.values()):
+                return failed("antisymmetry", [x, y], out, L)
             anti += 1
     for x in GENERATORS:
         for y in GENERATORS:
             want = degree_add(DEGREE[x], DEGREE[y])
-            bad = [g for g in tbl[(x, y)].terms if DEGREE[g] != want]
-            if bad:
-                return failed("degree-additivity", [x, y], tbl[(x, y)])
+            if any(DEGREE[g] != want for g, _ in itab[(x, y)]):
+                return failed("degree-additivity", [x, y], dict(itab[(x, y)]), L)
             deg += 1
     for x in GENERATORS:
         for y in GENERATORS:
             for z in GENERATORS:
-                residual = _bracket_sum([(SIGN[x, z], x, tbl[(y, z)]),
-                                         (SIGN[y, x], y, tbl[(z, x)]),
-                                         (SIGN[z, y], z, tbl[(x, y)])], tbl)
-                if not residual.is_zero():
-                    return failed("jacobi", [x, y, z], residual)
+                out = {}
+                for s, gen, pair in ((SIGN[x, z], x, (y, z)), (SIGN[y, x], y, (z, x)),
+                                     (SIGN[z, y], z, (x, y))):
+                    for gy, cy in itab[pair]:
+                        for g, c in itab[(gen, gy)]:
+                            out[g] = out.get(g, 0) + s * cy * c
+                if any(out.values()):
+                    return failed("jacobi", [x, y, z], out, L * L)
                 jac += 1
     return AxiomReport(True, anti, deg, jac)
 

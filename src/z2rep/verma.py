@@ -15,10 +15,12 @@ Lm = am^2/2).  All ten actions live in one table, `_action`, keyed on module
 kind, generator and ket but not on r or lambda: it stores each coefficient
 doubled, as c1 + cr*r + cl*lambda in integers.  `act` and `action_rows`
 (integer matrices) evaluate it with one module's integer weights from
-`_weights`; `act` sums integer numerators over one common denominator and
-builds one Fraction per output term.  `representation_residual`, vanishing
-on every generator pair, certifies that the four formulas define a
-representation.
+`_weights`; `act` sums integer numerators over one common denominator, in
+`_apply`, and builds one Fraction per nonzero output term.
+`representation_residual`, vanishing on every generator pair, certifies that
+the four formulas define a representation; it composes two generators
+through `_apply` and is integer throughout, so a zero residual builds no
+Fraction.
 """
 
 from __future__ import annotations
@@ -277,31 +279,50 @@ def _weights(module: VermaModule, scale: int = 1) -> tuple[int, int, int, int]:
     return q * v * scale, p * v * scale, q * u * scale, 2 * q * v
 
 
-def _act_sum(module: VermaModule, parts: list[tuple[Fraction | int, str, Vector]]) -> Vector:
-    """Exact sum of scalar * (gen on vec) over the parts (scalar, gen, vec).
-
-    Every scalar * coefficient is put over d, the lcm of all their
-    denominators, and the integer numerators are summed against the weights
-    of `_weights`; one Fraction is built per target ket.  Every vec must lie
-    in module.
-    """
-    w1, wr, wl, den = _weights(module)
-    terms = [(s.numerator * c.numerator, s.denominator * c.denominator, gen, ket)
-             for s, gen, vec in parts for ket, c in vec.terms.items()]
+def _numerators(terms: dict) -> tuple[int, list]:
+    """(d, [(key, d * c), ...]) for the coefficients c of terms, where d is the
+    lcm of their denominators (1 when there are none)."""
     # a list: CPython shrinks the argument tuple of a starred generator, and
     # its free lists keep up to 2000 such tuples of each size
-    d = lcm(*[q for _, q, _, _ in terms])
-    out: dict[Ket, int] = {}
-    for num, q, gen, ket in terms:
-        num *= d // q
-        for tket, c1, cr, cl in _action(module.kind, gen, ket):
+    d = lcm(*[c.denominator for c in terms.values()])
+    return d, [(key, c.numerator * (d // c.denominator)) for key, c in terms.items()]
+
+
+def _apply(out: dict[Ket, int], kind: str, gen: str, nums,
+           w1: int, wr: int, wl: int) -> dict[Ket, int]:
+    """Add gen applied to the sum of num * ket over the pairs (ket, num) of
+    nums to out, as integer numerators over the den of `_weights`.  (w1, wr,
+    wl) are the weights of `_weights`, times one integer factor that the
+    caller folds in."""
+    for ket, num in nums:
+        for tket, c1, cr, cl in _action(kind, gen, ket):
             out[tket] = out.get(tket, 0) + num * (c1 * w1 + cr * wr + cl * wl)
-    return Vector(module, {tket: Fraction(t, d * den) for tket, t in out.items()})
+    return out
+
+
+def _act_sum(out: dict[Ket, int], kind: str, coeffs: dict[str, Fraction], nums,
+             w1: int, wr: int, wl: int) -> int:
+    """Add the sum of c * gen over the items (gen, c) of coeffs, applied to
+    nums, to out as `_apply` does, with every c put over e, the lcm of their
+    denominators; return e."""
+    e, scaled = _numerators(coeffs)
+    for gen, f in scaled:
+        _apply(out, kind, gen, nums, f * w1, f * wr, f * wl)
+    return e
 
 
 def act(gen: str, vec: Vector) -> Vector:
-    """Exact action of one generator, extended linearly over the terms."""
-    return _act_sum(vec.module, [(1, gen, vec)])
+    """Exact action of one generator, extended linearly over the terms.
+
+    vec is put over d, the lcm of its denominators, `_apply` sums the
+    integer numerators over d * den, and one Fraction is built per nonzero
+    target ket.
+    """
+    module = vec.module
+    w1, wr, wl, den = _weights(module)
+    d, nums = _numerators(vec.terms)
+    out = _apply({}, module.kind, gen, nums, w1, wr, wl)
+    return Vector(module, {ket: Fraction(t, d * den) for ket, t in out.items() if t})
 
 
 def action_rows(module: VermaModule, gen: str, kets: list[Ket], targets: list[Ket],
@@ -329,8 +350,13 @@ def action_rows(module: VermaModule, gen: str, kets: list[Ket], targets: list[Ke
 
 
 def act_element(elem: Element, vec: Vector) -> Vector:
-    """Bilinear extension of `act` to algebra elements."""
-    return _act_sum(vec.module, [(c, gen, vec) for gen, c in elem.terms.items()])
+    """Bilinear extension of `act` to algebra elements, summed over e * d * den."""
+    module = vec.module
+    w1, wr, wl, den = _weights(module)
+    d, nums = _numerators(vec.terms)
+    out: dict[Ket, int] = {}
+    e = _act_sum(out, module.kind, elem.terms, nums, w1, wr, wl)
+    return Vector(module, {ket: Fraction(t, e * d * den) for ket, t in out.items() if t})
 
 
 def representation_residual(g1: str, g2: str, vec: Vector) -> Vector:
@@ -341,10 +367,23 @@ def representation_residual(g1: str, g2: str, vec: Vector) -> Vector:
     the 10 ordered pairs that define them vanish by construction; the residual
     on all 100 pairs is exactly the condition that the four odd formulas
     (including signs) define a representation of the structure table.
+
+    Summed in integers throughout: v is put over d, the lcm of its
+    denominators, the bracket over e, the lcm of its, and all three parts
+    over e * d * den**2, den from `_weights`.  A Fraction is built only for
+    a nonzero residual term, so a representation builds none.
     """
-    parts = [(1, g1, act(g2, vec)), (-SIGN[g1, g2], g2, act(g1, vec))]
-    parts += [(-c, x, vec) for x, c in STRUCTURE_TABLE[(g1, g2)].terms.items()]
-    return _act_sum(vec.module, parts)
+    module, kind = vec.module, vec.module.kind
+    w1, wr, wl, den = _weights(module)
+    d, nums = _numerators(vec.terms)
+    out: dict[Ket, int] = {}
+    e = _act_sum(out, kind, STRUCTURE_TABLE[(g1, g2)].terms, nums,
+                 -den * w1, -den * wr, -den * wl)
+    for first, then, f in ((g2, g1, e), (g1, g2, -SIGN[g1, g2] * e)):
+        # over d * den after the first generator, d * den**2 after the second
+        once = _apply({}, kind, first, nums, w1, wr, wl).items()
+        _apply(out, kind, then, once, f * w1, f * wr, f * wl)
+    return Vector(module, {ket: Fraction(t, e * d * den * den) for ket, t in out.items() if t})
 
 
 def enumerate_level(module: VermaModule, n: int) -> tuple[Ket, ...]:

@@ -108,7 +108,7 @@ def test_zero_denominator_is_a_usage_error_that_names_its_input(argv, text, caps
     assert code == 2 and out == "" and err == f"error: zero denominator in {text!r}\n"
 
 
-@pytest.mark.parametrize("text", ["2.5", "1e3", "1/2/3", "abc"])
+@pytest.mark.parametrize("text", ["2.5", "1e3", "1/2/3", "abc", "1_0", "\u0663", "1/0_3"])
 @pytest.mark.parametrize("argv", [("singular", "--kind", "mr", "--level", "1", "--r={}"),
                                   ("cartan", "--n", "5", "--r", "0", "--c=1,{}")])
 def test_malformed_rational_is_a_usage_error_that_names_its_input(argv, text, capsys):
