@@ -23,11 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .rationals import format_rational
 
 MAX_DIM = 12  # largest chain dimension build_h_module accepts
+MAX_BITS = 1024  # largest closing coefficient, denominators cleared, in bits
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,12 @@ def expected_c_length(n: int) -> int:
 
 
 def build_h_module(n: int, r, c) -> HModule:
-    """Chain module of dimension n; c prescribes the image of the last vector."""
+    """Chain module of dimension n; c prescribes the image of the last vector.
+
+    A closing polynomial with a coefficient above MAX_BITS bits, once its
+    denominators are cleared, is refused: `rational_roots` works on that
+    integer polynomial, and its cost grows with the bits.
+    """
     if n < 1:
         raise ValueError("dimension must be positive")
     if n > MAX_DIM:
@@ -80,6 +87,12 @@ def build_h_module(n: int, r, c) -> HModule:
     if len(c) != expected_c_length(n):
         raise ValueError(
             f"need {expected_c_length(n)} closing coefficients for n={n}, got {len(c)}")
+    den = lcm(*(x.denominator for x in c))  # the cleared leading coefficient
+    bits = max([den.bit_length()] + [(x.numerator * (den // x.denominator)).bit_length()
+                                     for x in c])
+    if bits > MAX_BITS:
+        raise ValueError(f"closing polynomial has a coefficient of {bits} bits once "
+                         f"its denominators are cleared, above the bound {MAX_BITS}")
     return HModule(n, Fraction(r), c)
 
 

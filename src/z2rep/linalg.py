@@ -1,14 +1,15 @@
 """Exact linear algebra over the rationals.
 
 Matrices are dense lists of lists at desk scale (up to a few hundred
-entries), except for `sparse_rank`, whose rows map a column to its nonzero
-entry.  Elimination is fraction-free (Bareiss 1968): rows are rescaled to
-integers once, every cross-multiplied row is divided by the gcd of its
-entries, and `echelon` picks the pivot of smallest absolute value, which keeps
-intermediate integers small.  `echelon_to_rref` back-substitutes in integers
-too and builds one Fraction per entry at the end.  No floating point anywhere.
-The routines that only tests use (rank, rref, det, char_poly and the like)
-are in tests/reference.py.
+entries), except for `sparse_echelon`, whose rows map a column to its nonzero
+entry; the lowering kernel is decided and read off by it alone.  Elimination
+is fraction-free (Bareiss 1968): rows are rescaled to integers once, every
+cross-multiplied row is divided by the gcd of its entries, and `echelon`
+picks the pivot of smallest absolute value, which keeps intermediate
+integers small.  `echelon_to_rref` back-substitutes in integers too and
+builds one Fraction per entry at the end.  No floating point anywhere.
+The routines that only tests use (rank, rref, nullspace, det, char_poly and
+the like) are in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -19,12 +20,7 @@ from math import gcd, lcm
 
 
 def _int_row(row) -> tuple[list[int], int]:
-    """The row times the lcm of its denominators, and that lcm.
-
-    A row of ints passes through as it is, without building a Fraction.
-    """
-    if all(type(x) is int for x in row):
-        return row, 1
+    """The row times the lcm of its denominators, and that lcm."""
     row = [Fraction(x) for x in row]
     den = lcm(*(x.denominator for x in row))
     return [x.numerator * (den // x.denominator) for x in row], den
@@ -90,9 +86,9 @@ def echelon_to_rref(ech: list[list[int]], pivots: list[int]) -> list[list[Fracti
     return [[Fraction(x, row[pc]) for x in row] for row, pc in zip(out, pivots)]
 
 
-def sparse_rank(rows: list[dict[int, int]],
-                ready: list[tuple[Sequence[int], Piece]] = ()) -> int:
-    """Rank of sparse integer rows stacked on integer echelon pieces.
+def sparse_echelon(rows: list[dict[int, int]],
+                   ready: list[tuple[Sequence[int], Piece]] = ()) -> dict[int, dict[int, int]]:
+    """Sparse integer rows reduced to echelon form on integer echelon pieces.
 
     Each row maps a column to its nonzero entry.  `ready` holds pieces of
     integer echelon rows, each with the increasing list of the columns its
@@ -101,19 +97,22 @@ def sparse_rank(rows: list[dict[int, int]],
     row's leading column starts with the ready rows at their pivot columns,
     each made sparse only when a row reaches its pivot.  Each row, sparsest
     first, is reduced against the table until it is zero or its leading
-    column is new, and every remainder is kept primitive.  The rank is the
-    size of the table.
+    column is new, and every remainder is kept primitive (a row that takes a
+    new leading column unreduced is kept as it is given).  Returns the rows
+    that took a new leading column, keyed on that column: the rank of the
+    stack is their number plus the number of ready rows.
     """
     table: dict[int, dict[int, int] | tuple[Sequence[int], list[int]]] = {}
     for columns, (ech, pivots) in ready:
         for row, pc in zip(ech, pivots):
             table[columns[pc]] = (columns, row)
+    found: dict[int, dict[int, int]] = {}
     for row in sorted(rows, key=len):
         while row:
             lead = min(row)
             piv = table.get(lead)
             if piv is None:
-                table[lead] = row
+                table[lead] = found[lead] = row
                 break
             if type(piv) is tuple:
                 columns, dense = piv
@@ -126,30 +125,7 @@ def sparse_rank(rows: list[dict[int, int]],
             out = {c: x for c, x in out.items() if x}
             g = gcd(*out.values())
             row = {c: x // g for c, x in out.items()} if g > 1 else out
-    return len(table)
-
-
-def nullspace(rows, ncols: int) -> list[list[Fraction]]:
-    """RREF basis of the right kernel of the matrix.
-
-    The integer rows are eliminated with their columns reversed, so each
-    pivot lies as far right as it can.  The vector read off a free column f
-    is then 1 on f, 0 on every other free column and on every column left of
-    f: the basis is already its own reduced row echelon form.
-    """
-    ech, pivots = echelon([row[::-1] for row in _int_rows(rows)])
-    rr = echelon_to_rref(ech, pivots)
-    pivset = {ncols - 1 - c: i for i, c in enumerate(pivots)}
-    basis = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for c, i in pivset.items():
-            v[c] = -rr[i][ncols - 1 - f]
-        basis.append(v)
-    return basis
+    return found
 
 
 def poly_eval(coeffs, x: Fraction) -> Fraction:

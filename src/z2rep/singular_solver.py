@@ -200,12 +200,14 @@ def lowering_kernel(module: VermaModule, level: int, sector: Degree,
     den(r) * den(lambda).  Both images land near the ket's own place in
     canonical order, so the two blocks of columns are interleaved, the t-th
     target ket of am on column 2t and of atm on 2t+1, which keeps the rows
-    banded.  W's echelon rows at level-1 lie on the same columns.  The kernel
-    is zero exactly when `linalg.sparse_rank` of the rows stacked on W's rows
-    counts every one of them.  Otherwise the kernel is the complement part of
-    the left kernel of that stack, made dense; W's rows are independent, so
-    that part is injective and holds every pivot of the RREF basis.  Returns
-    the complement kets and an RREF basis of the kernel on them.
+    banded.  W's echelon rows at level-1 lie on the same columns and enter
+    `linalg.sparse_echelon` as ready rows: the kernel is zero exactly when
+    every ket's row takes a new leading column there.  Otherwise a second
+    pass tags each row with a unit entry on column width + i, right of every
+    map column; the remainders that lead on a tag column are zero on the
+    map, and their tag parts are the kernel in echelon form (W's rows are
+    independent, so none is lost).  Returns the complement kets and the RREF
+    basis of the kernel on them.
     """
     scale = module.r.denominator * (module.lam.denominator if module.lam is not None else 1)
     pivots = w.get(level, {}).get(sector, ([], []))[1]
@@ -220,12 +222,14 @@ def lowering_kernel(module: VermaModule, level: int, sector: Degree,
         below.append((range(b, 2 * len(targets), 2), piece))
         for row, image in zip(rows, action_rows(module, gen, kets, targets, scale)):
             row.update((2 * t + b, c) for t, c in image)
-    if linalg.sparse_rank(rows, below) == len(kets) + sum(len(ech) for _, (ech, _) in below):
+    if len(linalg.sparse_echelon(rows, below)) == len(kets):
         return kets, []
-    rows += [dict(zip(columns, ech_row)) for columns, (ech, _) in below for ech_row in ech]
     width = max(len(columns) for columns, _ in below) * 2
-    stack = [[row.get(c, 0) for c in range(width)] for row in rows]
-    return kets, [v[:len(kets)] for v in linalg.nullspace(list(zip(*stack)), len(stack))]
+    tagged = [{**row, width + i: 1} for i, row in enumerate(rows)]
+    found = linalg.sparse_echelon(tagged, below)
+    leads = sorted(lead for lead in found if lead >= width)
+    dense = [[found[lead].get(width + i, 0) for i in range(len(kets))] for lead in leads]
+    return kets, linalg.echelon_to_rref(dense, [lead - width for lead in leads])
 
 
 def find_singular(module: VermaModule, level: int, sector: Degree) -> SingularReport:

@@ -135,8 +135,9 @@ def _quotient_has_no_singular(w: Submodule, n: int) -> bool:
 
     Checked sector by sector, over integers, by `lowering_kernel`: the kets
     off W's pivots span a complement of W, and the sparse rows of their am
-    and atm images, stacked on W's echelon rows at level n-1, must have full
-    rank in `linalg.sparse_rank`.
+    and atm images, stacked on W's echelon rows at level n-1, must each take
+    a new leading column in `linalg.sparse_echelon`.  That one elimination
+    decides a zero kernel; a nonzero one is read off a second, tagged pass.
     """
     return not any(lowering_kernel(w.module, n, sector, w.pieces)[1]
                    for sector in sectors_for_level(n))
@@ -153,6 +154,8 @@ def classify_module(module: VermaModule,
     with W built from the closed-form singular vectors.  When the case-iv
     constraint holds at two orders (integer r), the quotient is finite; the
     cap is raised to 2(M1 + M2) + 2 so that the table reaches past its end.
+    Every finite verdict is decided by one rule: the table ends in two empty
+    levels, and the dimension is its sum, which in case ii must be (2M+1)^2.
     Only a finite verdict is checked here to have no singular vector in the
     quotient, by `_quotient_has_no_singular`.  "Infinite" means only that the
     table of V/W does not end below the level cap: that it is the irreducible
@@ -166,10 +169,10 @@ def classify_module(module: VermaModule,
     else:
         case = "iv" if orders else "iii"
     M = orders[0] if orders else None
-    # the floor puts in the table one level past the top 4M+1 of a case-ii
-    # quotient, the two empty levels past the top 2(M1 + M2) of a case-iv
-    # quotient with two orders M1 < M2, and with one order at least one level
-    # past the singular level
+    # the floor puts in the table the two empty levels past the top 4M of a
+    # case-ii quotient and past the top 2(M1 + M2) of a case-iv quotient with
+    # two orders M1 < M2, and with one order at least one level past the
+    # singular level
     if case == "ii":
         floor = default = 4 * M + 2
     elif case == "iv":
@@ -182,23 +185,13 @@ def classify_module(module: VermaModule,
             f"classification needs level {max_level}, above the bound {MAX_LEVEL}")
     w = build_submodule(module, max_level)
     per_level = _dims_table(w, max_level)
-    dimension = None
-    if case == "ii":
-        support = 4 * M + 1
-        total = sum(row["quotient_dim"] for row in per_level)
-        if total != (2 * M + 1) ** 2:
-            raise ConsistencyError(
-                f"quotient total {total} != {(2 * M + 1) ** 2}")
-        if any(row["quotient_dim"] for row in per_level if row["level"] > support):
-            raise ConsistencyError("quotient persists beyond its support")
-        dimension = (2 * M + 1) ** 2
-    elif case == "iv":
-        # two constraint orders can coexist (integer r); the quotient then
-        # terminates.  Two consecutive empty levels end it for good, since
-        # raising weights are at most 2.
-        quots = [row["quotient_dim"] for row in per_level]
-        if len(quots) >= 2 and quots[-1] == quots[-2] == 0:
-            dimension = sum(quots)
+    # two consecutive empty levels end a quotient for good, since raising
+    # weights are at most 2: a table that ends in them is finite
+    quots = [row["quotient_dim"] for row in per_level]
+    dimension = sum(quots) if quots[-2:] == [0, 0] else None
+    if case == "ii" and dimension != (2 * M + 1) ** 2:
+        raise ConsistencyError(
+            f"case ii quotient dimension {dimension} != {(2 * M + 1) ** 2}")
     if dimension is not None:
         top = max(row["level"] for row in per_level if row["quotient_dim"])
         if not all(_quotient_has_no_singular(w, n) for n in range(1, top + 2)):

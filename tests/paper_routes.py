@@ -26,8 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 
-from reference import act_word, det, rank, rref, solve_unique
-from z2rep import linalg
+from reference import act_word, det, nullspace, rank, rref, solve_unique
 from z2rep.cartan_modules import HModule, classify
 from z2rep.singular_solver import RtildeCheck, _families, closed_form, rtilde_check
 from z2rep.submodule_quotient import singular_pair
@@ -84,7 +83,7 @@ class _LinearSystem:
 
     def solutions(self) -> list[dict[str, list[Fraction]]]:
         split = []
-        for vec in linalg.nullspace(self.rows, self.total):
+        for vec in nullspace(self.rows, self.total):
             sol = {}
             for name in self.order:
                 off = self.offsets[name]
@@ -362,7 +361,7 @@ def find_invariant_subspace(hm: HModule) -> list[list[Fraction]] | None:
     if first.kind == "nu_r_lambda" and n > 2:
         shifted = [[sum(rt[i][k] * rt[k][j] for k in range(n))
                     - (first.lam if i == j else 0) for j in range(n)] for i in range(n)]
-        return linalg.nullspace(shifted, n)
+        return nullspace(shifted, n)
     if first.kind == "nu_r":
-        return linalg.nullspace(rt, n)
+        return nullspace(rt, n)
     return None

@@ -4,6 +4,10 @@ the rationals, seeded sampling, and words of generators on Verma vectors.
 No command of the engine runs any of these; they check it.  The linear
 algebra is built on the engine's own fraction-free elimination
 (`linalg.echelon`), except `det` and `char_poly`, which are independent of it.
+`nullspace` is a dense kernel, read off the echelon form of the matrix with
+its columns reversed; the engine reads its one kernel, that of the lowering
+pair, off `linalg.sparse_echelon` instead, and the tests' Fraction quotient
+check and the paper's recurrence systems use this one.
 """
 
 from __future__ import annotations
@@ -23,6 +27,29 @@ def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form (leading ones, zeros above pivots)."""
     ech, pivots = echelon(_int_rows(rows))
     return echelon_to_rref(ech, pivots), pivots
+
+
+def nullspace(rows, ncols: int) -> list[list[Fraction]]:
+    """RREF basis of the right kernel of the matrix.
+
+    The integer rows are eliminated with their columns reversed, so each
+    pivot lies as far right as it can.  The vector read off a free column f
+    is then 1 on f, 0 on every other free column and on every column left of
+    f: the basis is already its own reduced row echelon form.
+    """
+    ech, pivots = echelon([row[::-1] for row in _int_rows(rows)])
+    rr = echelon_to_rref(ech, pivots)
+    pivset = {ncols - 1 - c: i for i, c in enumerate(pivots)}
+    basis = []
+    for f in range(ncols):
+        if f in pivset:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for c, i in pivset.items():
+            v[c] = -rr[i][ncols - 1 - f]
+        basis.append(v)
+    return basis
 
 
 def reduce_mod_span(rr_rows: list[list[Fraction]], pivots: list[int], vec) -> list[Fraction]:

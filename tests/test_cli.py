@@ -182,6 +182,23 @@ def test_cartan_60_bit_closing_coefficient(capsys):
         {"kind": "nu_r_lambda", "r": "0/1", "lambda": "1000000000000000003/1"}]
 
 
+@pytest.mark.parametrize("c", [
+    ",".join([str(2 ** 2047 + 1)] + ["0"] * 5),  # a 2048-bit coefficient
+    ",".join(f"1/{2 ** 399 + k}" for k in (1, 3, 5, 7, 9, 11)),  # six 400-bit denominators
+], ids=["2048-bit-coefficient", "400-bit-denominators"])
+def test_cartan_refuses_closing_coefficients_above_the_bit_bound(c, capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "cartan", "--n", "12", "--r", "0", f"--c={c}")
+    assert code == 2 and out == "" and "above the bound 1024" in err
+    assert time.perf_counter() - start < 1
+
+
+def test_cartan_admits_a_1024_bit_closing_coefficient(capsys):
+    c = ",".join([str(2 ** 1023 + 1)] + ["0"] * 5)
+    code, out, _ = run_cli(capsys, "cartan", "--n", "12", "--r", "0", f"--c={c}")
+    assert code == 0 and json.loads(out)["dim"] == 12
+
+
 def test_cartan_bad_c_length(capsys):
     code, _, err = run_cli(capsys, "cartan", "--n", "4", "--r", "0", "--c", "1")
     assert code == 2

@@ -91,12 +91,13 @@ def test_maximal_submodule_is_w_sector_by_sector(module):
                          ids=lambda m: f"{m.kind}-r{m.r}-l{m.lam}")
 def test_zero_kernel_modulo_w_takes_the_sparse_exit(module, monkeypatch):
     # W's rows sit in the pivot table of the full-rank exit: a zero kernel
-    # modulo W is decided there, and never reaches the dense nullspace
+    # modulo W is decided there, and never reaches the kernel read-off, the
+    # only caller of echelon_to_rref on a command path
     top = table_top(module)
     w = build_submodule(module, top)
 
     def refuse(*args):
-        raise AssertionError("a zero kernel reached the dense nullspace")
+        raise AssertionError("a zero kernel reached the kernel read-off")
 
-    monkeypatch.setattr(linalg, "nullspace", refuse)
+    monkeypatch.setattr(linalg, "echelon_to_rref", refuse)
     assert all(_quotient_has_no_singular(w, n) for n in range(1, top + 1))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import char_poly, det, poly_mul, rank, rref, solve_unique
+from reference import char_poly, det, nullspace, poly_mul, rank, rref, solve_unique
 from z2rep import linalg
 
 
@@ -23,7 +23,7 @@ def test_rref_identity_like():
 def test_rank_and_nullspace_consistency():
     rows = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1), F(1)]]
     assert rank(rows) == 2
-    kernel = linalg.nullspace(rows, 3)
+    kernel = nullspace(rows, 3)
     assert len(kernel) == 1
     for vec in kernel:
         for row in rows:
@@ -31,7 +31,7 @@ def test_rank_and_nullspace_consistency():
 
 
 def test_nullspace_of_zero_map_is_identity_basis():
-    kernel = linalg.nullspace([], 3)
+    kernel = nullspace([], 3)
     assert kernel == [[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]]
 
 
@@ -95,7 +95,7 @@ small = st.integers(min_value=-6, max_value=6)
 @given(st.lists(st.lists(small, min_size=4, max_size=4), min_size=2, max_size=5))
 def test_nullspace_vectors_annihilate(rows_int):
     rows = [[F(x) for x in row] for row in rows_int]
-    kernel = linalg.nullspace(rows, 4)
+    kernel = nullspace(rows, 4)
     assert len(kernel) == 4 - rank(rows)
     for vec in kernel:
         for row in rows:
@@ -179,7 +179,7 @@ def test_nullspace_matches_fraction_oracle(matrix, row_scales):
     fractions = [[Fraction(x) for x in row] for row in rows]
     scaled = [[s * x for x in row] for s, row in zip(row_scales, rows)]
     for form in (rows, fractions, scaled):
-        kernel = linalg.nullspace(form, ncols)
+        kernel = nullspace(form, ncols)
         assert kernel == expected
         assert rref(form) == _oracle_rref(form, ncols)
         assert all(type(x) is Fraction for vec in kernel for x in vec)
@@ -214,10 +214,15 @@ def rows_on_echelon_pieces(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(rows_on_echelon_pieces())
-def test_sparse_rank_matches_echelon(case):
+def test_sparse_echelon_matches_echelon(case):
+    # rows go in primitive, so every row that comes out is primitive
     pieces, block, rows = case
-    sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
-    assert linalg.sparse_rank(sparse, pieces) == len(linalg.echelon(block + rows)[1])
+    sparse = [{c: x for c, x in enumerate(linalg._primitive(row)) if x} for row in rows]
+    result = linalg.sparse_echelon(sparse, pieces)
+    assert len(result) + len(block) == len(linalg.echelon(block + rows)[1])
+    for lead, row in result.items():
+        assert lead == min(row)
+        assert gcd(*row.values()) == 1
 
 
 @pytest.mark.parametrize("rows, ncols, dim", [
@@ -227,7 +232,7 @@ def test_sparse_rank_matches_echelon(case):
     ([[2, 4, 6], [1, 2, 3]], 3, 2),
 ])
 def test_nullspace_shapes(rows, ncols, dim):
-    kernel = linalg.nullspace(rows, ncols)
+    kernel = nullspace(rows, ncols)
     assert len(kernel) == dim
     assert kernel == _oracle_nullspace(rows, ncols)
 

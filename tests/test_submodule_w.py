@@ -10,8 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from reference import reduce_mod_span, rref
-from z2rep import linalg
+from reference import nullspace, reduce_mod_span, rref
 from z2rep.submodule_quotient import (Submodule, _quotient_has_no_singular,
                                       build_submodule, classify_module,
                                       detect_singular_orders, singular_pair)
@@ -67,7 +66,7 @@ def fraction_quotient_check(module, spans, n):
             red = reduce_mod_span(rr_b, pivots_b, act(gen, vec).coords(below))
             for rowpos, j in enumerate(comp_b):
                 rows[block * len(comp_b) + rowpos][col] = red[j]
-    return not linalg.nullspace(rows, len(comp))
+    return not nullspace(rows, len(comp))
 
 
 # the modules of tests/golden, with the level cap their command passes
