@@ -184,8 +184,10 @@ def rational_roots(coeffs) -> list[Fraction]:
     part h = p / gcd(p, p') of the integer polynomial, with leading
     coefficient a, becomes the monic integer polynomial q(y) = a^(d-1) h(y/a),
     whose rational roots are integers.  A Sturm sequence isolates the real
-    roots of q, bisecting on integers down to width 1, and the right end y of
-    each such interval is a root only if p(y/a) is exactly 0.
+    roots of q, bisecting on integers.  Once an interval holds one root, that
+    root is simple, and the bisection goes on by the sign of q alone, until q
+    vanishes at the right end or the width is 1.  The right end y of each
+    final interval is a root only if p(y/a) is exactly 0.
     """
     cs = [Fraction(c) for c in coeffs]
     while cs and cs[-1] == 0:
@@ -224,12 +226,24 @@ def rational_roots(coeffs) -> list[Fraction]:
         lo, v_lo, hi, v_hi = todo.pop()
         if v_lo == v_hi:
             continue
-        if hi - lo == 1:
-            cand = Fraction(hi, a)
-            if poly_eval(cs, cand) == 0:
-                roots.add(cand)
+        if v_lo - v_hi == 1:
+            # one root in (lo, hi], simple since q is square-free: q changes
+            # sign across it, so bisect on the sign of q alone
+            q_hi = poly_eval(q, hi)
+            while q_hi and hi - lo > 1:
+                mid = (lo + hi) // 2
+                q_mid = poly_eval(q, mid)
+                if q_mid == 0 or (q_mid > 0) == (q_hi > 0):
+                    hi, q_hi = mid, q_mid
+                else:
+                    lo = mid
+        elif hi - lo > 1:
+            mid = (lo + hi) // 2
+            v_mid = sign_changes(mid)
+            todo += [(lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)]
             continue
-        mid = (lo + hi) // 2
-        v_mid = sign_changes(mid)
-        todo += [(lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)]
+        # hi is the one integer left that can be a root
+        cand = Fraction(hi, a)
+        if poly_eval(cs, cand) == 0:
+            roots.add(cand)
     return sorted(roots)

@@ -83,12 +83,13 @@ def build_submodule(module: VermaModule, max_level: int) -> Submodule:
                 below = pieces.get(n - 1, {}).get(source, ([], []))[0]
                 if not below:
                     continue
-                images = action_rows(module, gen, sector_kets(module, n - 1, source), kets)
+                images = action_rows(module, gen, sector_kets(module, n - 1, source),
+                                     {ket: t for t, ket in enumerate(kets)})
                 for row in below:
                     out = [0] * len(kets)
                     for c, image in zip(row, images):
                         if c:
-                            for t, a in image:
+                            for t, a in image.items():
                                 out[t] += c * a
                     rows.append(out)
             level[sector] = linalg.echelon(rows)

@@ -14,9 +14,11 @@ structure table and acts as that graded commutator over c (so Lp = -atp^2/2,
 Lm = am^2/2).  All ten actions live in one table, `_action`, keyed on module
 kind, generator and ket but not on r or lambda: it stores each coefficient
 doubled, as c1 + cr*r + cl*lambda in integers.  `act` and `action_rows`
-(integer matrices) evaluate it with one module's integer weights from
-`_weights`; `act` sums integer numerators over one common denominator, in
-`_apply`, and builds one Fraction per nonzero output term.
+evaluate it with one module's integer weights from `_weights`; `act` sums
+integer numerators over one common denominator, in `_apply`, and builds one
+Fraction per nonzero output term.  `action_rows` builds an integer matrix,
+one dict per ket, written straight onto the columns the caller maps each
+target ket to.
 `representation_residual`, vanishing on every generator pair, certifies that
 the four formulas define a representation; it composes two generators
 through `_apply` and is integer throughout, so a zero residual builds no
@@ -325,26 +327,27 @@ def act(gen: str, vec: Vector) -> Vector:
     return Vector(module, {ket: Fraction(t, d * den) for ket, t in out.items() if t})
 
 
-def action_rows(module: VermaModule, gen: str, kets: list[Ket], targets: list[Ket],
-                scale: int = 1) -> list[list[tuple[int, int]]]:
-    """One generator as a sparse integer matrix: for each ket, the pairs
-    (index into targets, scale * coefficient) of its image, read off `_action`
-    in integers.  The image of every ket must lie in the span of `targets`,
-    and `scale` must clear every denominator of the coefficients.
+def action_rows(module: VermaModule, gen: str, kets: list[Ket], columns: dict[Ket, int],
+                scale: int = 1) -> list[dict[int, int]]:
+    """One generator as a sparse integer matrix: for each ket, its image as a
+    dict from the column that `columns` gives each target ket to scale times
+    its coefficient, read off `_action` in integers.  The image of every ket
+    must lie among the keys of `columns`, and `scale` must clear every
+    denominator of the coefficients.
     """
     w1, wr, wl, den = _weights(module, scale)
-    index = {ket: i for i, ket in enumerate(targets)}
+    kind = module.kind
     out = []
     for ket in kets:
-        row = []
-        for tket, c1, cr, cl in _action(module.kind, gen, ket):
+        row = {}
+        for tket, c1, cr, cl in _action(kind, gen, ket):
             scaled = c1 * w1 + cr * wr + cl * wl
             c, rem = divmod(scaled, den)
             if rem:
                 raise ValueError(f"scale {scale} leaves {gen} coefficient "
                                  f"{Fraction(scaled, den)}")
             if c:
-                row.append((index[tket], c))
+                row[columns[tket]] = c
         out.append(row)
     return out
 

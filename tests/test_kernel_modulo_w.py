@@ -68,7 +68,7 @@ def test_kernel_modulo_w_lowers_into_w(module):
             assert_lowers_into(module, n, sector, kets, kernel, w[n - 1])
 
 
-J_MODULES = ([mr(-4), mr(-8), mr(-12), mr(Fraction(1, 3))]
+J_MODULES = ([mr(-4), mr(-8), mr(-12), mr(-24), mr(Fraction(1, 3))]
              + [mrl(Fraction(1, 3), Fraction(49, 9)), mrl(-5, 9), mrl(-3, 1), mrl(-3, 9),
                 mrl(-9, 1), mrl(Fraction(1, 3), Fraction(5, 7))])
 

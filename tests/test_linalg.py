@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -86,6 +87,36 @@ def test_rational_roots_of_61_bit_coefficients():
     assert linalg.rational_roots(poly_mul(coeffs, coeffs)) == \
         [-(2 ** 40) - 5, Fraction(2 ** 61 + 1, 3)]
     assert linalg.rational_roots([-(2 ** 61) - 1, 0, 3]) == []
+
+
+def _random_roots(seed, d):
+    """d rational numbers with 67-bit numerators and denominators below 2^10."""
+    rng = random.Random(seed)
+    return [Fraction(rng.choice((-1, 1)) * (rng.getrandbits(66) | 1 << 66),
+                     rng.randrange(1, 1 << 10)) for _ in range(d)]
+
+
+def _product_of_linear_factors(roots):
+    poly = [Fraction(1)]
+    for t in roots:
+        poly = poly_mul(poly, [-t.numerator, t.denominator])
+    return poly
+
+
+@pytest.mark.parametrize("d", [12, 16])
+def test_rational_roots_of_many_67_bit_factors(d):
+    # every root is isolated in an interval of its own, which the bisection
+    # narrows on the sign of q alone
+    roots = _random_roots(d, d)
+    assert linalg.rational_roots(_product_of_linear_factors(roots)) == sorted(set(roots))
+
+
+def test_rational_roots_reject_an_isolated_irrational_root():
+    # a repeated rational root times t^2 - 2: each of +-sqrt(2) is isolated
+    # and narrowed to width 1, where its right end is not a root
+    roots = _random_roots(2, 5)
+    poly = poly_mul(_product_of_linear_factors(roots + roots[:1]), [-2, 0, 1])
+    assert linalg.rational_roots(poly) == sorted(set(roots))
 
 
 small = st.integers(min_value=-6, max_value=6)

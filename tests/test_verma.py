@@ -242,14 +242,22 @@ def test_zero_vector():
 def test_action_rows_scale_clears_denominators(module, gen, good_scale, bad_scale):
     kets = list(enumerate_level(module, 5))
     targets = list(enumerate_level(module, 4))
-    rows = action_rows(module, gen, kets, targets, good_scale)
+    columns = {ket: t for t, ket in enumerate(targets)}
+    rows = action_rows(module, gen, kets, columns, good_scale)
     for ket, row in zip(kets, rows):
         image = act(gen, Vector(module, {ket: 1}))
-        assert all(type(c) is int for _, c in row)
-        assert {targets[t]: Fraction(c, good_scale) for t, c in row} == image.terms
+        assert all(type(c) is int for c in row.values())
+        assert {targets[t]: Fraction(c, good_scale) for t, c in row.items()} == image.terms
+    # the rows land on whatever columns the caller names, here the odd ones
+    odd = action_rows(module, gen, kets, {ket: 2 * t + 1 for t, ket in enumerate(targets)},
+                      good_scale)
+    for ket, row in zip(kets, odd):
+        image = act(gen, Vector(module, {ket: 1}))
+        assert all(t % 2 == 1 for t in row)
+        assert {targets[t // 2]: Fraction(c, good_scale) for t, c in row.items()} == image.terms
     if bad_scale is not None:
         with pytest.raises(ValueError, match=f"scale {bad_scale} leaves {gen}"):
-            action_rows(module, gen, kets, targets, bad_scale)
+            action_rows(module, gen, kets, columns, bad_scale)
 
 
 def test_lowering_assembly_reads_one_table_per_kind():
