@@ -19,6 +19,8 @@ FORMATS = ("json", "csv")
 CASES = {
     **{f"classify_mr_M{M}": ("classify", "--kind", "mr", f"--r={-2 * M}")
        for M in range(9)},
+    # case ii at order 33, levels to 134: the input the old 32-order scan got wrong
+    "classify_mr_M33": ("classify", "--kind", "mr", "--r=-66"),
     # single order, non-integer r: lambda = (r + 2M)^2 for M = 1, 2, 3
     "classify_mrl_r1_3_M1": ("classify", "--kind", "mrl", "--r=1/3", "--lambda=49/9"),
     "classify_mrl_r-5_2_M2": ("classify", "--kind", "mrl", "--r=-5/2", "--lambda=9/4"),
@@ -28,6 +30,8 @@ CASES = {
     "classify_mrl_r-5_l9": ("classify", "--kind", "mrl", "--r=-5", "--lambda=9"),
     "classify_mrl_r-3_l1": ("classify", "--kind", "mrl", "--r=-3", "--lambda=1"),
     "classify_mrl_r-1_l1": ("classify", "--kind", "mrl", "--r=-1", "--lambda=1"),
+    # orders 10 and 11, levels to 44
+    "classify_mrl_r-21_l1": ("classify", "--kind", "mrl", "--r=-21", "--lambda=1"),
     "classify_mrl_r-5_l9_max3": ("classify", "--kind", "mrl", "--r=-5", "--lambda=9",
                                  "--max-level", "3"),
     "classify_mrl_r-3_l1_max3": ("classify", "--kind", "mrl", "--r=-3", "--lambda=1",
