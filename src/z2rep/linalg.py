@@ -1,15 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Matrices are dense lists of lists at desk scale (up to a few hundred
-entries), except for `sparse_echelon`, whose rows map a column to its nonzero
-entry; the lowering kernel is decided and read off by it alone.  Elimination
-is fraction-free (Bareiss 1968): rows are rescaled to integers once, every
-cross-multiplied row is divided by the gcd of its entries, and `echelon`
-picks the pivot of smallest absolute value, which keeps intermediate
-integers small.  `echelon_to_rref` back-substitutes in integers too and
-builds one Fraction per entry at the end.  No floating point anywhere.
-The routines that only tests use (rank, rref, nullspace, det, char_poly and
-the like) are in tests/reference.py.
+The engine has one reduction loop, `sparse_echelon`, whose rows map a column
+to its nonzero entry: W is built by it, and the lowering kernel is decided
+and read off by it.  Elimination is fraction-free (Bareiss 1968): rows are
+rescaled to integers once, and every cross-multiplied row is divided by the
+gcd of its entries, which keeps intermediate integers small.  Echelon pieces
+are dense integer rows with their pivot columns; `echelon_to_rref`
+back-substitutes in integers too and builds one Fraction per entry at the
+end.  No floating point anywhere.  The routines that only tests use (a dense
+echelon form, rank, rref, nullspace, det, char_poly and the like) are in
+tests/reference.py.
 """
 
 from __future__ import annotations
@@ -32,38 +32,6 @@ def _int_rows(rows) -> list[list[int]]:
 
 
 Piece = tuple[list[list[int]], list[int]]  # integer echelon rows, pivot columns
-
-
-def echelon(rows_int: list[list[int]]) -> Piece:
-    """Integer row echelon form; returns (nonzero rows, pivot columns).
-
-    Pivot choice: smallest nonzero |entry| in the column, first row on ties.
-    """
-    rows = [list(r) for r in rows_int]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots: list[int] = []
-    pr = 0
-    for pc in range(ncols):
-        best = -1
-        for i in range(pr, nrows):
-            v = rows[i][pc]
-            if v != 0 and (best < 0 or abs(v) < abs(rows[best][pc])):
-                best = i
-        if best < 0:
-            continue
-        rows[pr], rows[best] = rows[best], rows[pr]
-        piv = rows[pr][pc]
-        for i in range(pr + 1, nrows):
-            v = rows[i][pc]
-            if v == 0:
-                continue
-            rows[i] = _primitive([piv * a - v * b for a, b in zip(rows[i], rows[pr])])
-        pivots.append(pc)
-        pr += 1
-        if pr == nrows:
-            break
-    return rows[:pr], pivots
 
 
 def echelon_to_rref(ech: list[list[int]], pivots: list[int]) -> list[list[Fraction]]:

@@ -5,7 +5,9 @@ the raising generators, for every order M that
 `singular_solver.detect_singular_orders` solves (re-exported here).
 `build_submodule` computes W once, as the bare span of the raising images
 (level by level, one Z2xZ2 sector at a time, integer echelon rows), which
-never assumes the dimension formula; `Submodule.pieces` is the one
+never assumes the dimension formula: the ap images of the level below, and
+the atp images and Ltp chain of the seeds, which together span every PBW
+word of the raising part applied to them.  `Submodule.pieces` is the one
 representation of W that every verdict reads.  The tests hold two
 independent routes in tests/paper_routes.py: the explicit spanning family of
 the level-(2M+1+q) slice, words in ap and atp applied to the two singular
@@ -26,7 +28,7 @@ from . import linalg
 from .graded_algebra import DEGREE, Degree, degree_add
 from .singular_solver import (closed_form, detect_singular_orders, lowering_kernel,
                               sectors_for_level)
-from .verma import ConsistencyError, VermaModule, Vector, action_rows, sector_kets
+from .verma import ConsistencyError, Ket, VermaModule, Vector, action_rows, sector_kets
 
 MAX_LEVEL = 200  # highest level a table, a sweep or a classification may reach
 
@@ -58,42 +60,70 @@ class Submodule:
 def build_submodule(module: VermaModule, max_level: int) -> Submodule:
     """W = raising words applied to all singular pairs, up to max_level.
 
-    Each level is spanned by the ap and atp images of the level below and by
-    the singular vectors seeded at the level itself.  Lp and Ltp images add
-    nothing: Lp = -atp^2/2 and Ltp = -[ap, atp]/4 act through two steps of
-    ap and atp, whose images of W already lie in W.  The seeds and the
-    raising generators are homogeneous, so each Z2xZ2 sector is eliminated on
-    its own.  ap and atp have integer coefficients, independent of r and
+    The structure table gives [[ap, Ltp]] = [[atp, Ltp]] = 0 (ap and atp
+    anticommute with Ltp), ap atp - atp ap = -4 Ltp and atp^2 = -ap^2 = -2 Lp,
+    so every raising word is a combination of ap^k atp^a Ltp^m with a in
+    {0, 1}.  Hence W_n = ap W_(n-1) + atp X_(n-1) + X_n, where X_n, the Ltp
+    chain of the seeds, holds the singular vectors seeded at level n and the
+    Ltp images of X_(n-2): at most one vector per seed and sector.  The
+    seeds and the raising generators are homogeneous, so each Z2xZ2 sector
+    is built on its own.  ap shifts the leading ket of a vector by an
+    order-preserving injection, so the ap images of W_(n-1)'s echelon rows
+    lead on distinct columns and enter `linalg.sparse_echelon` as ready
+    rows, unreduced; only the atp images of X_(n-1) and the rows of X_n are
+    reduced against them, and each that takes a new leading column is a row
+    of W_n.  ap, atp and Ltp have integer coefficients, independent of r and
     lambda, so once each seed's denominators are cleared every row stays an
-    integer vector.
+    integer vector.  Raises ConsistencyError if two ap images lead on one
+    column, or one is zero.
     """
     seeds: dict[int, list[Vector]] = {}
     for M in detect_singular_orders(module):
         if 2 * M + 1 <= max_level:
             seeds.setdefault(2 * M + 1, []).extend(singular_pair(module, M))
     pieces: dict[int, dict[Degree, linalg.Piece]] = {}
+    chain: dict[int, dict[Degree, list[list[int]]]] = {}  # X per level and sector
     for n in range(min(seeds, default=max_level + 1), max_level + 1):
         level = pieces[n] = {}
+        chain[n] = {}
+        w_below = {sector: rows for sector, (rows, _) in pieces.get(n - 1, {}).items()}
         for sector in sectors_for_level(n):
             kets = sector_kets(module, n, sector)
-            rows = linalg._int_rows([v.coords(kets) for v in seeds.get(n, ())
-                                     if v.degree() == sector])
-            for gen in ("ap", "atp"):
-                source = degree_add(sector, DEGREE[gen])
-                below = pieces.get(n - 1, {}).get(source, ([], []))[0]
-                if not below:
-                    continue
-                images = action_rows(module, gen, sector_kets(module, n - 1, source),
-                                     {ket: t for t, ket in enumerate(kets)})
-                for row in below:
-                    out = [0] * len(kets)
-                    for c, image in zip(row, images):
-                        if c:
-                            for t, a in image.items():
-                                out[t] += c * a
-                    rows.append(out)
-            level[sector] = linalg.echelon(rows)
+            columns = {ket: t for t, ket in enumerate(kets)}
+            x = chain[n][sector] = linalg._int_rows(
+                [v.coords(kets) for v in seeds.get(n, ()) if v.degree() == sector]
+            ) + _raised(module, "Ltp", chain.get(n - 2, {}), n - 2, sector, columns)
+            ready = _raised(module, "ap", w_below, n - 1, sector, columns)
+            leads = [next((t for t, c in enumerate(row) if c), None) for row in ready]
+            if None in leads or len(set(leads)) < len(leads):
+                raise ConsistencyError(f"the ap images of W at level {n - 1} do not lead "
+                                       f"on distinct columns of sector {sector}")
+            rest = x + _raised(module, "atp", chain.get(n - 1, {}), n - 1, sector, columns)
+            found = linalg.sparse_echelon([{t: c for t, c in enumerate(row) if c} for row in rest],
+                                          [(range(len(kets)), (ready, leads))])
+            rows = sorted([*zip(leads, ready),
+                           *((lead, [row.get(t, 0) for t in range(len(kets))])
+                             for lead, row in found.items())])
+            level[sector] = [row for _, row in rows], [lead for lead, _ in rows]
     return Submodule(module, pieces)
+
+
+def _raised(module: VermaModule, gen: str, below: dict[Degree, list[list[int]]],
+            n: int, sector: Degree, columns: dict[Ket, int]) -> list[list[int]]:
+    """gen applied to each integer row of level n that `below` holds in the
+    sector gen raises into `sector`, as a dense row on `columns`."""
+    source = degree_add(sector, DEGREE[gen])
+    out = []
+    if below.get(source):
+        images = action_rows(module, gen, sector_kets(module, n, source), columns)
+        for row in below[source]:
+            image = [0] * len(columns)
+            for c, targets in zip(row, images):
+                if c:
+                    for t, a in targets.items():
+                        image[t] += c * a
+            out.append(image)
+    return out
 
 
 def _dims_table(w: Submodule, max_level: int) -> list[dict]:

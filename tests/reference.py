@@ -2,12 +2,13 @@
 the rationals, seeded sampling, and words of generators on Verma vectors.
 
 No command of the engine runs any of these; they check it.  The linear
-algebra is built on the engine's own fraction-free elimination
-(`linalg.echelon`), except `det` and `char_poly`, which are independent of it.
-`nullspace` is a dense kernel, read off the echelon form of the matrix with
-its columns reversed; the engine reads its one kernel, that of the lowering
-pair, off `linalg.sparse_echelon` instead, and the tests' Fraction quotient
-check and the paper's recurrence systems use this one.
+algebra is built on `echelon`, a dense fraction-free elimination with its
+own pivot choice, apart from the engine's one reduction loop,
+`linalg.sparse_echelon`; `det` and `char_poly` are independent of both.  `nullspace` is a dense kernel, read off
+the echelon form of the matrix with its columns reversed; the engine reads
+its one kernel, that of the lowering pair, off `linalg.sparse_echelon`
+instead, and the tests' Fraction quotient check and the paper's recurrence
+systems use this one.
 """
 
 from __future__ import annotations
@@ -15,8 +16,40 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from z2rep.linalg import _int_row, _int_rows, echelon, echelon_to_rref
+from z2rep.linalg import Piece, _int_row, _int_rows, _primitive, echelon_to_rref
 from z2rep.verma import VermaModule, Vector, act
+
+
+def echelon(rows_int: list[list[int]]) -> Piece:
+    """Integer row echelon form; returns (nonzero rows, pivot columns).
+
+    Pivot choice: smallest nonzero |entry| in the column, first row on ties.
+    """
+    rows = [list(r) for r in rows_int]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots: list[int] = []
+    pr = 0
+    for pc in range(ncols):
+        best = -1
+        for i in range(pr, nrows):
+            v = rows[i][pc]
+            if v != 0 and (best < 0 or abs(v) < abs(rows[best][pc])):
+                best = i
+        if best < 0:
+            continue
+        rows[pr], rows[best] = rows[best], rows[pr]
+        piv = rows[pr][pc]
+        for i in range(pr + 1, nrows):
+            v = rows[i][pc]
+            if v == 0:
+                continue
+            rows[i] = _primitive([piv * a - v * b for a, b in zip(rows[i], rows[pr])])
+        pivots.append(pc)
+        pr += 1
+        if pr == nrows:
+            break
+    return rows[:pr], pivots
 
 
 def rank(rows) -> int:

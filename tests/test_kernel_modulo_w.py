@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from reference import rank
+from reference import echelon, rank
 from z2rep import linalg
 from z2rep.graded_algebra import DEGREE, degree_add
 from z2rep.singular_solver import lowering_kernel, sectors_for_level
@@ -82,7 +82,7 @@ def test_maximal_submodule_is_w_sector_by_sector(module):
         j[n] = {}
         for sector in sectors_for_level(n):
             _, kernel = lowering_kernel(module, n, sector, {n - 1: j[n - 1]})
-            j[n][sector] = linalg.echelon(linalg._int_rows(kernel))
+            j[n][sector] = echelon(linalg._int_rows(kernel))
             assert kernel == linalg.echelon_to_rref(*w.get(n, {}).get(sector, ([], []))), \
                 f"level {n} sector {sector}"
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import char_poly, det, nullspace, poly_mul, rank, rref, solve_unique
+from reference import (char_poly, det, echelon, nullspace, poly_mul, rank, rref,
+                       solve_unique)
 from z2rep import linalg
 
 
@@ -227,8 +228,8 @@ def rows_on_echelon_pieces(draw):
     pieces, block = [], []
     for b, w in enumerate(widths):
         columns = range(b, 2 * w, 2)
-        piece = linalg.echelon(draw(st.lists(st.lists(small, min_size=w, max_size=w),
-                                             max_size=w)))
+        piece = echelon(draw(st.lists(st.lists(small, min_size=w, max_size=w),
+                                      max_size=w)))
         pieces.append((columns, piece))
         for ech_row in piece[0]:
             dense = [0] * width
@@ -250,7 +251,7 @@ def test_sparse_echelon_matches_echelon(case):
     pieces, block, rows = case
     sparse = [{c: x for c, x in enumerate(linalg._primitive(row)) if x} for row in rows]
     result = linalg.sparse_echelon(sparse, pieces)
-    assert len(result) + len(block) == len(linalg.echelon(block + rows)[1])
+    assert len(result) + len(block) == len(echelon(block + rows)[1])
     for lead, row in result.items():
         assert lead == min(row)
         assert gcd(*row.values()) == 1

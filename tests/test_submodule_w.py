@@ -3,7 +3,10 @@
 The reference is the engine's earlier construction of W, kept here only as
 an oracle: a breadth-first span over whole levels in Fraction arithmetic,
 with the Lp and Ltp images included, and the quotient check that reduces
-the lowering images modulo that span in Fractions.
+the lowering images modulo that span in Fractions.  The relations that let
+the builder raise W by ap and by the Ltp chain of the seeds alone are
+pinned here too, and so is its refusal of ap images that share a leading
+column.
 """
 
 from fractions import Fraction
@@ -11,9 +14,13 @@ from fractions import Fraction
 import pytest
 
 from reference import nullspace, reduce_mod_span, rref
-from z2rep.submodule_quotient import (Submodule, _quotient_has_no_singular,
-                                      build_submodule, classify_module,
-                                      detect_singular_orders, singular_pair)
+from z2rep import submodule_quotient
+from z2rep.cli import main
+from z2rep.graded_algebra import SIGN, STRUCTURE_TABLE
+from z2rep.submodule_quotient import (ConsistencyError, Submodule,
+                                      _quotient_has_no_singular, build_submodule,
+                                      classify_module, detect_singular_orders,
+                                      singular_pair)
 from z2rep.verma import VermaModule, Vector, act, enumerate_level, sector_kets
 
 
@@ -129,3 +136,40 @@ def test_quotient_check_fails_when_a_level_of_w_is_missing(module):
         old_cut = {k: v for k, v in old.items() if k != n}
         assert _quotient_has_no_singular(cut, n) == fraction_quotient_check(module, old_cut, n), \
             f"level {n}"
+
+
+def test_raising_words_reduce_to_ap_atp_ltp_order():
+    # [[x, y]] = xy - SIGN[x, y] yx: ap and atp anticommute with Ltp, their
+    # commutator is a multiple of Ltp, and atp^2 = -ap^2, so every raising
+    # word is a combination of ap^k atp^a Ltp^m with a in {0, 1}
+    assert SIGN["ap", "Ltp"] == SIGN["atp", "Ltp"] == -1
+    assert STRUCTURE_TABLE[("ap", "Ltp")].is_zero()
+    assert STRUCTURE_TABLE[("atp", "Ltp")].is_zero()
+    assert SIGN["ap", "atp"] == 1
+    assert list(STRUCTURE_TABLE[("ap", "atp")].terms) == ["Ltp"]
+    assert SIGN["ap", "ap"] == SIGN["atp", "atp"] == -1
+    assert STRUCTURE_TABLE[("atp", "atp")] == -STRUCTURE_TABLE[("ap", "ap")]
+    for module in (mr(Fraction(7, 2)), mrl(-5, 9)):
+        for n in range(13):
+            for ket in enumerate_level(module, n):
+                v = Vector(module, {ket: 1})
+                ltp = act("Ltp", v)
+                assert act("atp", act("ap", v)) == act("ap", act("atp", v)) + 4 * ltp, ket
+                assert act("Ltp", act("ap", v)) == -act("ap", ltp), ket
+                assert act("Ltp", act("atp", v)) == -act("atp", ltp), ket
+
+
+def test_builder_refuses_ap_images_on_one_leading_column(monkeypatch, capsys):
+    real = submodule_quotient.action_rows
+
+    def collapsed(module, gen, kets, columns, scale=1):
+        # every ket sent where the first one goes: the ap images of W's rows
+        # are multiples of one vector, so two of them lead on one column
+        images = real(module, gen, kets, columns, scale)
+        return [images[0]] * len(images) if gen == "ap" else images
+
+    monkeypatch.setattr(submodule_quotient, "action_rows", collapsed)
+    with pytest.raises(ConsistencyError, match="distinct columns"):
+        build_submodule(mr(-8), 18)
+    assert main(["classify", "--kind", "mr", "--r=-8"]) == 1
+    assert "mathematical check failed" in capsys.readouterr().err
