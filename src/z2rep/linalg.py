@@ -4,17 +4,18 @@ The engine has one reduction loop, `sparse_echelon`, whose rows map a column
 to its nonzero entry: W is built by it, and the lowering kernel is decided
 and read off by it.  Elimination is fraction-free (Bareiss 1968): rows are
 rescaled to integers once, and every cross-multiplied row is divided by the
-gcd of its entries, which keeps intermediate integers small.  Echelon pieces
-are dense integer rows with their pivot columns; `echelon_to_rref`
-back-substitutes in integers too and builds one Fraction per entry at the
-end.  No floating point anywhere.  The routines that only tests use (a dense
-echelon form, rank, rref, nullspace, det, char_poly and the like) are in
-tests/reference.py.
+gcd of its entries, which keeps intermediate integers small.  An echelon
+piece (`Piece`) holds sparse integer rows keyed on their leading columns:
+`sparse_echelon` takes its ready rows and returns its new ones in that one
+form, and W is stored in it.  `echelon_to_rref` back-substitutes dense
+integer echelon rows, in integers too, and builds one Fraction per entry at
+the end.  No floating point anywhere.  The routines that only tests use (a
+dense echelon form, rank, rref, nullspace, det, char_poly and the like) are
+in tests/reference.py.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -26,12 +27,7 @@ def _int_row(row) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in row], den
 
 
-def _int_rows(rows) -> list[list[int]]:
-    """Integer rows with the same row space as the given rational rows."""
-    return [_int_row(row)[0] for row in rows]
-
-
-Piece = tuple[list[list[int]], list[int]]  # integer echelon rows, pivot columns
+Piece = dict[int, dict[int, int]]  # integer echelon rows, keyed on their leading columns
 
 
 def echelon_to_rref(ech: list[list[int]], pivots: list[int]) -> list[list[Fraction]]:
@@ -54,27 +50,21 @@ def echelon_to_rref(ech: list[list[int]], pivots: list[int]) -> list[list[Fracti
     return [[Fraction(x, row[pc]) for x in row] for row, pc in zip(out, pivots)]
 
 
-def sparse_echelon(rows: list[dict[int, int]],
-                   ready: list[tuple[Sequence[int], Piece]] = ()) -> dict[int, dict[int, int]]:
-    """Sparse integer rows reduced to echelon form on integer echelon pieces.
+def sparse_echelon(rows: list[dict[int, int]], ready: Piece) -> Piece:
+    """Sparse integer rows reduced to echelon form on a ready piece.
 
-    Each row maps a column to its nonzero entry.  `ready` holds pieces of
-    integer echelon rows, each with the increasing list of the columns its
-    entries lie on; together their rows must be independent with distinct
-    pivot columns, as pieces on disjoint columns are.  A table keyed on each
-    row's leading column starts with the ready rows at their pivot columns,
-    each made sparse only when a row reaches its pivot.  Each row, sparsest
-    first, is reduced against the table until it is zero or its leading
-    column is new, and every remainder is kept primitive (a row that takes a
-    new leading column unreduced is kept as it is given).  Returns the rows
-    that took a new leading column, keyed on that column: the rank of the
-    stack is their number plus the number of ready rows.
+    Each row maps a column to its nonzero entry.  `ready` holds integer
+    echelon rows on the same columns, keyed on their leading columns.  A
+    table keyed on each row's leading column starts as a copy of `ready`.
+    Each row, sparsest first, is reduced against the table until it is zero
+    or its leading column is new, and every remainder is kept primitive (a
+    row that takes a new leading column unreduced is kept as it is given).
+    No row is updated in place, so the rows of `ready` and `rows` may be
+    shared.  Returns the rows that took a new leading column, keyed on that
+    column: the rank of the stack is their number plus that of `ready`.
     """
-    table: dict[int, dict[int, int] | tuple[Sequence[int], list[int]]] = {}
-    for columns, (ech, pivots) in ready:
-        for row, pc in zip(ech, pivots):
-            table[columns[pc]] = (columns, row)
-    found: dict[int, dict[int, int]] = {}
+    table = dict(ready)
+    found: Piece = {}
     for row in sorted(rows, key=len):
         while row:
             lead = min(row)
@@ -82,9 +72,6 @@ def sparse_echelon(rows: list[dict[int, int]],
             if piv is None:
                 table[lead] = found[lead] = row
                 break
-            if type(piv) is tuple:
-                columns, dense = piv
-                piv = table[lead] = {c: x for c, x in zip(columns, dense) if x}
             g = gcd(piv[lead], row[lead])
             a, b = piv[lead] // g, row[lead] // g
             out = {c: a * x for c, x in row.items()}

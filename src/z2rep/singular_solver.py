@@ -194,39 +194,42 @@ def lowering_kernel(module: VermaModule, level: int, sector: Degree,
 
     `w` holds a submodule W per level and sector, as `Submodule.pieces` does;
     `find_singular` passes {} for W = 0.  The kets of the sector off W's
-    pivots span a complement of W.  Each gives one sparse integer row: its
-    am image over the kets of its target sector of level-1 and its atm image
-    over the kets of its own, scaled by den(r) * den(lambda).  Both images
-    land near the ket's own place in canonical order, so the two blocks of
-    columns are interleaved, the t-th target ket of am on column 2t and of
-    atm on 2t+1, which keeps the rows banded.  `action_rows` writes each
-    image straight onto those columns, and a row is the merge of its two
-    disjoint halves.  W's echelon rows at level-1 lie on the same columns
-    and enter `linalg.sparse_echelon` as ready rows: the kernel is zero
-    exactly when every ket's row takes a new leading column there.
-    Otherwise a second pass tags each row with a unit entry on column
-    width + i, right of every map column; the remainders that lead on a tag
+    pivots, the keys of its piece, span a complement of W.  Each gives one
+    sparse integer row: its am image over the kets of its target sector of
+    level-1 and its atm image over the kets of its own, scaled by
+    den(r) * den(lambda).  Both images land near the ket's own place in
+    canonical order, so the two blocks of columns are interleaved, the t-th
+    target ket of am on column 2t and of atm on 2t+1, which keeps the rows
+    banded.  `action_rows` writes each image straight onto those columns,
+    and a row is the merge of its two disjoint halves.  W's echelon rows at
+    level-1, moved onto the same columns ({2t + b: x} for the entry x on
+    column t, b = 0 for am and 1 for atm), are the one ready piece of
+    `linalg.sparse_echelon`: the kernel is zero exactly when every ket's row
+    takes a new leading column there.  Otherwise a second pass tags each row
+    with a unit entry on column width + i, right of every map column (width
+    is twice the larger target sector); the remainders that lead on a tag
     column are zero on the map, and their tag parts are the kernel in
     echelon form (W's rows are independent, so none is lost).  Returns the
     complement kets and the RREF basis of the kernel on them.
     """
     scale = module.r.denominator * (module.lam.denominator if module.lam is not None else 1)
-    pivots = w.get(level, {}).get(sector, ([], []))[1]
+    pivots = w.get(level, {}).get(sector, {})
     kets = [ket for j, ket in enumerate(sector_kets(module, level, sector))
             if j not in pivots]
     images = []
-    below: list[tuple[range, linalg.Piece]] = []  # W at level-1, on its columns
+    below: linalg.Piece = {}  # W at level-1, on the interleaved columns
+    width = 0
     for b, gen in enumerate(("am", "atm")):
         target = degree_add(sector, DEGREE[gen])
         targets = sector_kets(module, level - 1, target)
-        piece = w.get(level - 1, {}).get(target, ([], []))
-        below.append((range(b, 2 * len(targets), 2), piece))
+        for t, row in w.get(level - 1, {}).get(target, {}).items():
+            below[2 * t + b] = {2 * u + b: x for u, x in row.items()}
+        width = max(width, 2 * len(targets))
         columns = {ket: 2 * t + b for t, ket in enumerate(targets)}
         images.append(action_rows(module, gen, kets, columns, scale))
     rows = [{**am, **atm} for am, atm in zip(*images)]
     if len(linalg.sparse_echelon(rows, below)) == len(kets):
         return kets, []
-    width = max(len(columns) for columns, _ in below) * 2
     tagged = [{**row, width + i: 1} for i, row in enumerate(rows)]
     found = linalg.sparse_echelon(tagged, below)
     leads = sorted(lead for lead in found if lead >= width)

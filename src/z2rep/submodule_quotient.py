@@ -22,13 +22,15 @@ per-level dimension 4M+2 forever.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import linalg
 from .graded_algebra import DEGREE, Degree, degree_add
 from .singular_solver import (closed_form, detect_singular_orders, lowering_kernel,
                               sectors_for_level)
-from .verma import ConsistencyError, Ket, VermaModule, Vector, action_rows, sector_kets
+from .verma import (ConsistencyError, Ket, VermaModule, Vector, _numerators, action_rows,
+                    sector_kets)
 
 MAX_LEVEL = 200  # highest level a table, a sweep or a classification may reach
 
@@ -46,15 +48,17 @@ class Submodule:
     """W level by level and sector by sector.
 
     pieces[n][sector] holds integer echelon rows spanning the part of W in
-    that Z2xZ2 sector of level n, in the coordinates of
-    sector_kets(module, n, sector), with their pivot columns.  Levels below
-    the lowest singular level are absent: W is zero there.
+    that Z2xZ2 sector of level n, each a dict from a column of
+    sector_kets(module, n, sector) to its nonzero entry, keyed on its
+    leading column (a `linalg.Piece`).  Levels below the lowest singular
+    level are absent: W is zero there.  The row dicts are shared with the
+    eliminations that built and read them, and none is ever updated.
     """
     module: VermaModule
     pieces: dict[int, dict[Degree, linalg.Piece]]
 
     def dim(self, n: int) -> int:
-        return sum(len(rows) for rows, _ in self.pieces.get(n, {}).values())
+        return sum(len(piece) for piece in self.pieces.get(n, {}).values())
 
 
 def build_submodule(module: VermaModule, max_level: int) -> Submodule:
@@ -69,60 +73,54 @@ def build_submodule(module: VermaModule, max_level: int) -> Submodule:
     seeds and the raising generators are homogeneous, so each Z2xZ2 sector
     is built on its own.  ap shifts the leading ket of a vector by an
     order-preserving injection, so the ap images of W_(n-1)'s echelon rows
-    lead on distinct columns and enter `linalg.sparse_echelon` as ready
-    rows, unreduced; only the atp images of X_(n-1) and the rows of X_n are
-    reduced against them, and each that takes a new leading column is a row
-    of W_n.  ap, atp and Ltp have integer coefficients, independent of r and
-    lambda, so once each seed's denominators are cleared every row stays an
-    integer vector.  Raises ConsistencyError if two ap images lead on one
-    column, or one is zero.
+    lead on distinct columns: keyed on them, unreduced, they are the ready
+    piece of `linalg.sparse_echelon`.  Only the atp images of X_(n-1) and
+    the rows of X_n are reduced against them, and each that takes a new
+    leading column is a row of W_n.  ap, atp and Ltp have integer
+    coefficients, independent of r and lambda, so once each seed's
+    denominators are cleared every row stays an integer vector.  Raises
+    ConsistencyError if two ap images lead on one column, or one is zero.
     """
     seeds: dict[int, list[Vector]] = {}
     for M in detect_singular_orders(module):
         if 2 * M + 1 <= max_level:
             seeds.setdefault(2 * M + 1, []).extend(singular_pair(module, M))
     pieces: dict[int, dict[Degree, linalg.Piece]] = {}
-    chain: dict[int, dict[Degree, list[list[int]]]] = {}  # X per level and sector
+    chain: dict[int, dict[Degree, list[dict[int, int]]]] = {}  # X per level and sector
     for n in range(min(seeds, default=max_level + 1), max_level + 1):
         level = pieces[n] = {}
         chain[n] = {}
-        w_below = {sector: rows for sector, (rows, _) in pieces.get(n - 1, {}).items()}
+        w_below = {sector: piece.values() for sector, piece in pieces.get(n - 1, {}).items()}
         for sector in sectors_for_level(n):
-            kets = sector_kets(module, n, sector)
-            columns = {ket: t for t, ket in enumerate(kets)}
-            x = chain[n][sector] = linalg._int_rows(
-                [v.coords(kets) for v in seeds.get(n, ()) if v.degree() == sector]
-            ) + _raised(module, "Ltp", chain.get(n - 2, {}), n - 2, sector, columns)
-            ready = _raised(module, "ap", w_below, n - 1, sector, columns)
-            leads = [next((t for t, c in enumerate(row) if c), None) for row in ready]
-            if None in leads or len(set(leads)) < len(leads):
-                raise ConsistencyError(f"the ap images of W at level {n - 1} do not lead "
-                                       f"on distinct columns of sector {sector}")
+            columns = {ket: t for t, ket in enumerate(sector_kets(module, n, sector))}
+            x = chain[n][sector] = [
+                {columns[ket]: c for ket, c in _numerators(v.terms)[1]}
+                for v in seeds.get(n, ()) if v.degree() == sector
+            ] + _raised(module, "Ltp", chain.get(n - 2, {}), n - 2, sector, columns)
+            ready: linalg.Piece = {}
+            for row in _raised(module, "ap", w_below, n - 1, sector, columns):
+                if not row or ready.setdefault(min(row), row) is not row:
+                    raise ConsistencyError(f"the ap images of W at level {n - 1} do not lead "
+                                           f"on distinct columns of sector {sector}")
             rest = x + _raised(module, "atp", chain.get(n - 1, {}), n - 1, sector, columns)
-            found = linalg.sparse_echelon([{t: c for t, c in enumerate(row) if c} for row in rest],
-                                          [(range(len(kets)), (ready, leads))])
-            rows = sorted([*zip(leads, ready),
-                           *((lead, [row.get(t, 0) for t in range(len(kets))])
-                             for lead, row in found.items())])
-            level[sector] = [row for _, row in rows], [lead for lead, _ in rows]
+            level[sector] = {**ready, **linalg.sparse_echelon(rest, ready)}
     return Submodule(module, pieces)
 
 
-def _raised(module: VermaModule, gen: str, below: dict[Degree, list[list[int]]],
-            n: int, sector: Degree, columns: dict[Ket, int]) -> list[list[int]]:
+def _raised(module: VermaModule, gen: str, below: dict[Degree, Iterable[dict[int, int]]],
+            n: int, sector: Degree, columns: dict[Ket, int]) -> list[dict[int, int]]:
     """gen applied to each integer row of level n that `below` holds in the
-    sector gen raises into `sector`, as a dense row on `columns`."""
+    sector gen raises into `sector`, as a sparse row on `columns`."""
     source = degree_add(sector, DEGREE[gen])
     out = []
     if below.get(source):
         images = action_rows(module, gen, sector_kets(module, n, source), columns)
         for row in below[source]:
-            image = [0] * len(columns)
-            for c, targets in zip(row, images):
-                if c:
-                    for t, a in targets.items():
-                        image[t] += c * a
-            out.append(image)
+            image: dict[int, int] = {}
+            for s, c in row.items():
+                for t, a in images[s].items():
+                    image[t] = image.get(t, 0) + c * a
+            out.append({t: x for t, x in image.items() if x})
     return out
 
 

@@ -4,11 +4,13 @@ the rationals, seeded sampling, and words of generators on Verma vectors.
 No command of the engine runs any of these; they check it.  The linear
 algebra is built on `echelon`, a dense fraction-free elimination with its
 own pivot choice, apart from the engine's one reduction loop,
-`linalg.sparse_echelon`; `det` and `char_poly` are independent of both.  `nullspace` is a dense kernel, read off
-the echelon form of the matrix with its columns reversed; the engine reads
-its one kernel, that of the lowering pair, off `linalg.sparse_echelon`
-instead, and the tests' Fraction quotient check and the paper's recurrence
-systems use this one.
+`linalg.sparse_echelon`; `det` and `char_poly` are independent of both.
+`nullspace` is a dense kernel, read off the echelon form of the matrix with
+its columns reversed; the engine reads its one kernel, that of the lowering
+pair, off `linalg.sparse_echelon` instead, and the tests' Fraction quotient
+check and the paper's recurrence systems use this one.  `dense_piece` reads
+an engine piece of W, sparse rows keyed on their leading columns, as the
+dense rows and pivot columns these oracles take.
 """
 
 from __future__ import annotations
@@ -16,11 +18,25 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from z2rep.linalg import Piece, _int_row, _int_rows, _primitive, echelon_to_rref
+from z2rep.linalg import Piece, _int_row, _primitive, echelon_to_rref
 from z2rep.verma import VermaModule, Vector, act
 
+DensePiece = tuple[list[list[int]], list[int]]  # integer echelon rows, pivot columns
 
-def echelon(rows_int: list[list[int]]) -> Piece:
+
+def _int_rows(rows) -> list[list[int]]:
+    """Integer rows with the same row space as the given rational rows."""
+    return [_int_row(row)[0] for row in rows]
+
+
+def dense_piece(piece: Piece, width: int) -> DensePiece:
+    """The rows of a sparse echelon piece as dense rows of `width` entries,
+    with their pivot columns, in increasing order of pivot."""
+    pivots = sorted(piece)
+    return [[piece[pc].get(j, 0) for j in range(width)] for pc in pivots], pivots
+
+
+def echelon(rows_int: list[list[int]]) -> DensePiece:
     """Integer row echelon form; returns (nonzero rows, pivot columns).
 
     Pivot choice: smallest nonzero |entry| in the column, first row on ties.

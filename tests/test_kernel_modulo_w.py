@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from reference import echelon, rank
+from reference import _int_rows, dense_piece, rank
 from z2rep import linalg
 from z2rep.graded_algebra import DEGREE, degree_add
 from z2rep.singular_solver import lowering_kernel, sectors_for_level
@@ -38,8 +38,9 @@ def assert_lowers_into(module, level, sector, kets, kernel, below):
         v = Vector(module, dict(zip(kets, coords)))
         for gen in ("am", "atm"):
             target = degree_add(sector, DEGREE[gen])
-            rows = below.get(target, ([], []))[0]
-            image = act(gen, v).coords(sector_kets(module, level - 1, target))
+            targets = sector_kets(module, level - 1, target)
+            rows = dense_piece(below.get(target, {}), len(targets))[0]
+            image = act(gen, v).coords(targets)
             assert rank(rows + [image]) == len(rows), \
                 f"level {level} sector {sector}: {gen} v is not in W"
 
@@ -51,7 +52,7 @@ def test_kernel_modulo_w_at_the_first_level_above_w():
     kets, kernel = lowering_kernel(module, 4, (0, 0), {3: w[3]})
     assert len(kernel) == 2
     assert_lowers_into(module, 4, (0, 0), kets, kernel, w[3])
-    assert kernel == linalg.echelon_to_rref(*w[4][(0, 0)])
+    assert kernel == linalg.echelon_to_rref(*dense_piece(w[4][(0, 0)], len(kets)))
 
 
 @pytest.mark.parametrize("module", [mrl(-5, 9), mrl(-3, 1), mrl(-3, 9), mrl(-9, 1)],
@@ -81,9 +82,11 @@ def test_maximal_submodule_is_w_sector_by_sector(module):
     for n in range(1, top + 1):
         j[n] = {}
         for sector in sectors_for_level(n):
-            _, kernel = lowering_kernel(module, n, sector, {n - 1: j[n - 1]})
-            j[n][sector] = echelon(linalg._int_rows(kernel))
-            assert kernel == linalg.echelon_to_rref(*w.get(n, {}).get(sector, ([], []))), \
+            kets, kernel = lowering_kernel(module, n, sector, {n - 1: j[n - 1]})
+            rows = [{t: x for t, x in enumerate(row) if x} for row in _int_rows(kernel)]
+            j[n][sector] = {min(row): row for row in rows}
+            assert kernel == linalg.echelon_to_rref(
+                *dense_piece(w.get(n, {}).get(sector, {}), len(kets))), \
                 f"level {n} sector {sector}"
 
 

@@ -220,20 +220,19 @@ def test_nullspace_matches_fraction_oracle(matrix, row_scales):
 @st.composite
 def rows_on_echelon_pieces(draw):
     """Integer rows stacked on two echelon pieces on interleaved columns, as
-    `lowering_kernel` stacks its rows on W: (pieces, dense piece rows, rows).
-    Some rows are integer combinations of the piece rows, or of those and an
-    earlier row, so they depend on the stack."""
+    `lowering_kernel` stacks its rows on W: (ready piece, dense piece rows,
+    rows).  Some rows are integer combinations of the piece rows, or of those
+    and an earlier row, so they depend on the stack."""
     widths = draw(st.lists(st.integers(min_value=0, max_value=4), min_size=2, max_size=2))
     width = 2 * max(widths)
-    pieces, block = [], []
+    ready, block = {}, []
     for b, w in enumerate(widths):
-        columns = range(b, 2 * w, 2)
-        piece = echelon(draw(st.lists(st.lists(small, min_size=w, max_size=w),
-                                      max_size=w)))
-        pieces.append((columns, piece))
-        for ech_row in piece[0]:
+        ech, pivots = echelon(draw(st.lists(st.lists(small, min_size=w, max_size=w),
+                                            max_size=w)))
+        for ech_row, pc in zip(ech, pivots):
+            ready[2 * pc + b] = {2 * t + b: x for t, x in enumerate(ech_row) if x}
             dense = [0] * width
-            for c, x in zip(columns, ech_row):
+            for c, x in ready[2 * pc + b].items():
                 dense[c] = x
             block.append(dense)
     rows = draw(st.lists(st.lists(small, min_size=width, max_size=width), max_size=6))
@@ -241,16 +240,16 @@ def rows_on_echelon_pieces(draw):
         basis = block + rows[:1]
         coeffs = draw(st.lists(small, min_size=len(basis), max_size=len(basis)))
         rows.append([sum(c * row[j] for c, row in zip(coeffs, basis)) for j in range(width)])
-    return pieces, block, draw(st.permutations(rows))
+    return ready, block, draw(st.permutations(rows))
 
 
 @settings(max_examples=150, deadline=None)
 @given(rows_on_echelon_pieces())
 def test_sparse_echelon_matches_echelon(case):
     # rows go in primitive, so every row that comes out is primitive
-    pieces, block, rows = case
+    ready, block, rows = case
     sparse = [{c: x for c, x in enumerate(linalg._primitive(row)) if x} for row in rows]
-    result = linalg.sparse_echelon(sparse, pieces)
+    result = linalg.sparse_echelon(sparse, ready)
     assert len(result) + len(block) == len(echelon(block + rows)[1])
     for lead, row in result.items():
         assert lead == min(row)

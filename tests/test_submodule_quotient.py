@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from paper_routes import chi11_membership, membership_matrix, submodule_basis, wbasis_words
-from reference import rank
+from reference import dense_piece, rank
 from z2rep import submodule_quotient
 from z2rep.singular_solver import closed_form, find_singular, sectors_for_level
 from z2rep.submodule_quotient import (ConsistencyError, build_submodule,
@@ -22,16 +22,20 @@ def mrl(r, lam):
 
 def w_vectors(w, n):
     """The echelon rows of W at level n, one sector piece after another."""
-    return [Vector(w.module, dict(zip(sector_kets(w.module, n, sector), row)))
-            for sector, (rows, _) in w.pieces[n].items() for row in rows]
+    out = []
+    for sector, piece in w.pieces[n].items():
+        kets = sector_kets(w.module, n, sector)
+        out += [Vector(w.module, dict(zip(kets, row)))
+                for row in dense_piece(piece, len(kets))[0]]
+    return out
 
 
 def in_w(w, vec, n):
     """vec lies in W: appending it to its sector piece at level n keeps the rank."""
     if vec.is_zero():
         return True
-    rows = w.pieces.get(n, {}).get(vec.degree(), ([], []))[0]
     kets = sector_kets(w.module, n, vec.degree())
+    rows = dense_piece(w.pieces.get(n, {}).get(vec.degree(), {}), len(kets))[0]
     return rank(rows + [vec.coords(kets)]) == len(rows)
 
 

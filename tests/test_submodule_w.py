@@ -5,16 +5,17 @@ an oracle: a breadth-first span over whole levels in Fraction arithmetic,
 with the Lp and Ltp images included, and the quotient check that reduces
 the lowering images modulo that span in Fractions.  The relations that let
 the builder raise W by ap and by the Ltp chain of the seeds alone are
-pinned here too, and so is its refusal of ap images that share a leading
-column.
+pinned here too, and so are its refusal of ap images that share a leading
+column or vanish, and the rule that no shared row of W is updated in place.
 """
 
+import copy
 from fractions import Fraction
 
 import pytest
 
-from reference import nullspace, reduce_mod_span, rref
-from z2rep import submodule_quotient
+from reference import dense_piece, nullspace, reduce_mod_span, rref
+from z2rep import linalg, submodule_quotient
 from z2rep.cli import main
 from z2rep.graded_algebra import SIGN, STRUCTURE_TABLE
 from z2rep.submodule_quotient import (ConsistencyError, Submodule,
@@ -99,8 +100,9 @@ def test_builder_matches_fraction_bfs(module, cap):
         # a reduced row echelon form is unique, so each of its rows lies in
         # the sector of its pivot and is that sector's RREF cut to its kets
         assert len(rr) == w.dim(n), f"level {n}"
-        for sector, (rows, _) in w.pieces[n].items():
+        for sector, piece in w.pieces[n].items():
             place = [kets.index(ket) for ket in sector_kets(module, n, sector)]
+            rows, _ = dense_piece(piece, len(place))
             mine = [row for row, pc in zip(rr, pivots) if pc in place]
             assert all(not x for row in mine for j, x in enumerate(row) if j not in place)
             assert [[row[j] for j in place] for row in mine] == rref(rows)[0], \
@@ -173,3 +175,43 @@ def test_builder_refuses_ap_images_on_one_leading_column(monkeypatch, capsys):
         build_submodule(mr(-8), 18)
     assert main(["classify", "--kind", "mr", "--r=-8"]) == 1
     assert "mathematical check failed" in capsys.readouterr().err
+
+
+def test_builder_refuses_a_zero_ap_image(monkeypatch, capsys):
+    real = submodule_quotient._raised
+
+    def zeroed(module, gen, below, n, sector, columns):
+        # the first ap image of W's rows is zero, as if ap had a kernel on W
+        images = real(module, gen, below, n, sector, columns)
+        return [{}] + images[1:] if gen == "ap" and images else images
+
+    monkeypatch.setattr(submodule_quotient, "_raised", zeroed)
+    with pytest.raises(ConsistencyError, match="distinct columns"):
+        build_submodule(mr(-8), 18)
+    assert main(["classify", "--kind", "mr", "--r=-8"]) == 1
+    assert "mathematical check failed" in capsys.readouterr().err
+
+
+def test_shared_rows_are_never_mutated(monkeypatch):
+    # a row dict of W is shared by `pieces`, by the pivot table of
+    # `sparse_echelon` and by the ap images of the level above: none may be
+    # updated in place, by the builder or by the quotient check
+    built = []
+    real = submodule_quotient.build_submodule
+
+    def recorded(module, max_level):
+        w = real(module, max_level)
+        built.append((w, copy.deepcopy(w.pieces)))
+        return w
+
+    monkeypatch.setattr(submodule_quotient, "build_submodule", recorded)
+    for module in (mr(-8), mrl(-5, 9)):
+        assert classify_module(module).dimension is not None  # the check ran
+    assert len(built) == 2
+    for w, pieces in built:
+        assert w.pieces == pieces, w.module
+    # every row reaches a ready row, one of which is not primitive
+    ready = {0: {0: 2, 1: 4, 3: -6}, 1: {1: 3, 2: 1}, 4: {4: 5}}
+    before = copy.deepcopy(ready)
+    linalg.sparse_echelon([{0: 1, 1: 1, 4: 2}, {1: 6, 3: 1}, {4: 2, 5: 1}], ready)
+    assert ready == before
