@@ -7,11 +7,12 @@ rescaled to integers once, and every cross-multiplied row is divided by the
 gcd of its entries, which keeps intermediate integers small.  An echelon
 piece (`Piece`) holds sparse integer rows keyed on their leading columns:
 `sparse_echelon` takes its ready rows and returns its new ones in that one
-form, and W is stored in it.  `echelon_to_rref` back-substitutes dense
-integer echelon rows, in integers too, and builds one Fraction per entry at
-the end.  No floating point anywhere.  The routines that only tests use (a
-dense echelon form, rank, rref, nullspace, det, char_poly and the like) are
-in tests/reference.py.
+form.  W is stored as one piece per level, on the columns of that level's
+kets, and the lowering kernel takes it as its ready rows as it is stored.
+`echelon_to_rref` back-substitutes dense integer echelon rows, in integers
+too, and builds one Fraction per entry at the end.  No floating point
+anywhere.  The routines that only tests use (a dense echelon form, rank,
+rref, nullspace, det, char_poly and the like) are in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ def _int_row(row) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in row], den
 
 
-Piece = dict[int, dict[int, int]]  # integer echelon rows, keyed on their leading columns
+Piece = dict[int, dict[int, int]]  # echelon rows keyed on their leads; W has one per level
 
 
 def echelon_to_rref(ech: list[list[int]], pivots: list[int]) -> list[list[Fraction]]:

@@ -32,10 +32,10 @@ from fractions import Fraction
 from math import comb, isqrt
 
 from . import linalg
-from .graded_algebra import DEGREE, Degree, degree_add
+from .graded_algebra import Degree
 from .rationals import format_rational
-from .verma import (Ket, VermaModule, Vector, _sector_kets, act, action_rows,
-                    sector_kets, vector_to_json)
+from .verma import (Ket, VermaModule, Vector, _level_columns, _sector_kets, act,
+                    action_rows, vector_to_json)
 
 ODD_SECTORS: tuple[Degree, ...] = ((0, 1), (1, 0))
 EVEN_SECTORS: tuple[Degree, ...] = ((0, 0), (1, 1))
@@ -188,46 +188,36 @@ class SingularReport:
 
 
 def lowering_kernel(module: VermaModule, level: int, sector: Degree,
-                    w: dict[int, dict[Degree, linalg.Piece]],
-                    ) -> tuple[list[Ket], list[list[Fraction]]]:
+                    w: dict[int, linalg.Piece]) -> tuple[list[Ket], list[list[Fraction]]]:
     """Kernel of the lowering pair (am, atm) on one sector of V_level / W_level.
 
-    `w` holds a submodule W per level and sector, as `Submodule.pieces` does;
-    `find_singular` passes {} for W = 0.  The kets of the sector off W's
-    pivots, the keys of its piece, span a complement of W.  Each gives one
-    sparse integer row: its am image over the kets of its target sector of
-    level-1 and its atm image over the kets of its own, scaled by
-    den(r) * den(lambda).  Both images land near the ket's own place in
-    canonical order, so the two blocks of columns are interleaved, the t-th
-    target ket of am on column 2t and of atm on 2t+1, which keeps the rows
-    banded.  `action_rows` writes each image straight onto those columns,
-    and a row is the merge of its two disjoint halves.  W's echelon rows at
-    level-1, moved onto the same columns ({2t + b: x} for the entry x on
-    column t, b = 0 for am and 1 for atm), are the one ready piece of
-    `linalg.sparse_echelon`: the kernel is zero exactly when every ket's row
-    takes a new leading column there.  Otherwise a second pass tags each row
-    with a unit entry on column width + i, right of every map column (width
-    is twice the larger target sector); the remainders that lead on a tag
-    column are zero on the map, and their tag parts are the kernel in
-    echelon form (W's rows are independent, so none is lost).  Returns the
-    complement kets and the RREF basis of the kernel on them.
+    `w` holds a submodule W per level, as `Submodule.pieces` does, on the
+    columns `_level_columns` gives each level; `find_singular` passes {} for
+    W = 0.  The kets of the sector off W's pivots, the keys of its piece,
+    span a complement of W.  Each gives one sparse integer row: its am and
+    atm images, scaled by den(r) * den(lambda), written by `action_rows`
+    straight onto the columns of level-1.  am and atm take the sector to the
+    two sectors of level-1, whose kets interleave in canonical order, so a
+    row is the merge of two disjoint halves and stays banded near the ket's
+    own place.  W's echelon rows at level-1, as they are stored, are the one
+    ready piece of `linalg.sparse_echelon`: the kernel is zero exactly when
+    every ket's row takes a new leading column there.  Otherwise a second
+    pass tags each row with a unit entry on column width + i, right of every
+    column of level-1 (width is its number of kets); the remainders that
+    lead on a tag column are zero on the map, and their tag parts are the
+    kernel in echelon form (W's rows are independent, so none is lost).
+    Returns the complement kets and the RREF basis of the kernel on them.
     """
     scale = module.r.denominator * (module.lam.denominator if module.lam is not None else 1)
-    pivots = w.get(level, {}).get(sector, {})
-    kets = [ket for j, ket in enumerate(sector_kets(module, level, sector))
-            if j not in pivots]
-    images = []
-    below: linalg.Piece = {}  # W at level-1, on the interleaved columns
-    width = 0
-    for b, gen in enumerate(("am", "atm")):
-        target = degree_add(sector, DEGREE[gen])
-        targets = sector_kets(module, level - 1, target)
-        for t, row in w.get(level - 1, {}).get(target, {}).items():
-            below[2 * t + b] = {2 * u + b: x for u, x in row.items()}
-        width = max(width, 2 * len(targets))
-        columns = {ket: 2 * t + b for t, ket in enumerate(targets)}
-        images.append(action_rows(module, gen, kets, columns, scale))
-    rows = [{**am, **atm} for am, atm in zip(*images)]
+    pivots = w.get(level, {})
+    columns = _level_columns(module.kind, level)
+    kets = [ket for ket in _sector_kets(module.kind, level, sector)
+            if columns[ket] not in pivots]
+    targets = _level_columns(module.kind, level - 1)
+    width = len(targets)
+    rows = [{**am, **atm} for am, atm in zip(action_rows(module, "am", kets, targets, scale),
+                                             action_rows(module, "atm", kets, targets, scale))]
+    below = w.get(level - 1, {})
     if len(linalg.sparse_echelon(rows, below)) == len(kets):
         return kets, []
     tagged = [{**row, width + i: 1} for i, row in enumerate(rows)]

@@ -4,7 +4,7 @@ W is generated from the two singular vectors chi01, chi10 at level 2M+1 by
 the raising generators, for every order M that
 `singular_solver.detect_singular_orders` solves (re-exported here).
 `build_submodule` computes W once, as the bare span of the raising images
-(level by level, one Z2xZ2 sector at a time, integer echelon rows), which
+(level by level, integer echelon rows on the columns of each level), which
 never assumes the dimension formula: the ap images of the level below, and
 the atp images and Ltp chain of the seeds, which together span every PBW
 word of the raising part applied to them.  `Submodule.pieces` is the one
@@ -22,15 +22,14 @@ per-level dimension 4M+2 forever.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Collection
 from dataclasses import dataclass
 
 from . import linalg
-from .graded_algebra import DEGREE, Degree, degree_add
 from .singular_solver import (closed_form, detect_singular_orders, lowering_kernel,
                               sectors_for_level)
-from .verma import (ConsistencyError, Ket, VermaModule, Vector, _numerators, action_rows,
-                    sector_kets)
+from .verma import (ConsistencyError, Ket, VermaModule, Vector, _level_columns, _level_kets,
+                    _numerators, action_rows)
 
 MAX_LEVEL = 200  # highest level a table, a sweep or a classification may reach
 
@@ -45,20 +44,21 @@ def verma_dim(module: VermaModule, n: int) -> int:
 
 @dataclass
 class Submodule:
-    """W level by level and sector by sector.
+    """W level by level.
 
-    pieces[n][sector] holds integer echelon rows spanning the part of W in
-    that Z2xZ2 sector of level n, each a dict from a column of
-    sector_kets(module, n, sector) to its nonzero entry, keyed on its
-    leading column (a `linalg.Piece`).  Levels below the lowest singular
-    level are absent: W is zero there.  The row dicts are shared with the
-    eliminations that built and read them, and none is ever updated.
+    pieces[n] holds integer echelon rows spanning W_n, each a dict from the
+    column that `verma._level_columns` gives a ket of level n to its nonzero
+    entry, keyed on its leading column (a `linalg.Piece`).  Each row lies in
+    one Z2xZ2 sector, and the sectors of a level sit on disjoint columns.
+    Levels below the lowest singular level are absent: W is zero there.  The
+    row dicts are shared with the eliminations that built and read them, and
+    none is ever updated.
     """
     module: VermaModule
-    pieces: dict[int, dict[Degree, linalg.Piece]]
+    pieces: dict[int, linalg.Piece]
 
     def dim(self, n: int) -> int:
-        return sum(len(piece) for piece in self.pieces.get(n, {}).values())
+        return len(self.pieces.get(n, {}))
 
 
 def build_submodule(module: VermaModule, max_level: int) -> Submodule:
@@ -69,14 +69,14 @@ def build_submodule(module: VermaModule, max_level: int) -> Submodule:
     so every raising word is a combination of ap^k atp^a Ltp^m with a in
     {0, 1}.  Hence W_n = ap W_(n-1) + atp X_(n-1) + X_n, where X_n, the Ltp
     chain of the seeds, holds the singular vectors seeded at level n and the
-    Ltp images of X_(n-2): at most one vector per seed and sector.  The
-    seeds and the raising generators are homogeneous, so each Z2xZ2 sector
-    is built on its own.  ap shifts the leading ket of a vector by an
-    order-preserving injection, so the ap images of W_(n-1)'s echelon rows
-    lead on distinct columns: keyed on them, unreduced, they are the ready
-    piece of `linalg.sparse_echelon`.  Only the atp images of X_(n-1) and
-    the rows of X_n are reduced against them, and each that takes a new
-    leading column is a row of W_n.  ap, atp and Ltp have integer
+    Ltp images of X_(n-2): at most one vector per seed and sector.  ap shifts
+    the leading ket of a vector by an order-preserving injection of level
+    n-1 into level n, so the ap images of W_(n-1)'s echelon rows lead on
+    distinct columns: keyed on them, unreduced, they are the ready piece of
+    `linalg.sparse_echelon`.  Only the atp images of X_(n-1) and the rows of
+    X_n are reduced against them, and each that takes a new leading column
+    is a row of W_n.  The seeds and the raising generators are homogeneous,
+    so no reduction mixes two sectors.  ap, atp and Ltp have integer
     coefficients, independent of r and lambda, so once each seed's
     denominators are cleared every row stays an integer vector.  Raises
     ConsistencyError if two ap images lead on one column, or one is zero.
@@ -85,37 +85,31 @@ def build_submodule(module: VermaModule, max_level: int) -> Submodule:
     for M in detect_singular_orders(module):
         if 2 * M + 1 <= max_level:
             seeds.setdefault(2 * M + 1, []).extend(singular_pair(module, M))
-    pieces: dict[int, dict[Degree, linalg.Piece]] = {}
-    chain: dict[int, dict[Degree, list[dict[int, int]]]] = {}  # X per level and sector
+    pieces: dict[int, linalg.Piece] = {}
+    chain: dict[int, list[dict[int, int]]] = {}  # X per level
     for n in range(min(seeds, default=max_level + 1), max_level + 1):
-        level = pieces[n] = {}
-        chain[n] = {}
-        w_below = {sector: piece.values() for sector, piece in pieces.get(n - 1, {}).items()}
-        for sector in sectors_for_level(n):
-            columns = {ket: t for t, ket in enumerate(sector_kets(module, n, sector))}
-            x = chain[n][sector] = [
-                {columns[ket]: c for ket, c in _numerators(v.terms)[1]}
-                for v in seeds.get(n, ()) if v.degree() == sector
-            ] + _raised(module, "Ltp", chain.get(n - 2, {}), n - 2, sector, columns)
-            ready: linalg.Piece = {}
-            for row in _raised(module, "ap", w_below, n - 1, sector, columns):
-                if not row or ready.setdefault(min(row), row) is not row:
-                    raise ConsistencyError(f"the ap images of W at level {n - 1} do not lead "
-                                           f"on distinct columns of sector {sector}")
-            rest = x + _raised(module, "atp", chain.get(n - 1, {}), n - 1, sector, columns)
-            level[sector] = {**ready, **linalg.sparse_echelon(rest, ready)}
+        columns = _level_columns(module.kind, n)
+        x = chain[n] = [{columns[ket]: c for ket, c in _numerators(v.terms)[1]}
+                        for v in seeds.get(n, ())]
+        x += _raised(module, "Ltp", chain.get(n - 2, ()), n - 2, columns)
+        ready: linalg.Piece = {}
+        for row in _raised(module, "ap", pieces.get(n - 1, {}).values(), n - 1, columns):
+            if not row or ready.setdefault(min(row), row) is not row:
+                raise ConsistencyError(f"the ap images of W at level {n - 1} do not lead "
+                                       f"on distinct columns")
+        rest = x + _raised(module, "atp", chain.get(n - 1, ()), n - 1, columns)
+        pieces[n] = {**ready, **linalg.sparse_echelon(rest, ready)}
     return Submodule(module, pieces)
 
 
-def _raised(module: VermaModule, gen: str, below: dict[Degree, Iterable[dict[int, int]]],
-            n: int, sector: Degree, columns: dict[Ket, int]) -> list[dict[int, int]]:
-    """gen applied to each integer row of level n that `below` holds in the
-    sector gen raises into `sector`, as a sparse row on `columns`."""
-    source = degree_add(sector, DEGREE[gen])
+def _raised(module: VermaModule, gen: str, rows: Collection[dict[int, int]], n: int,
+            columns: dict[Ket, int]) -> list[dict[int, int]]:
+    """gen applied to each integer row of level n, as a sparse row on
+    `columns`, the columns of the level gen raises it to."""
     out = []
-    if below.get(source):
-        images = action_rows(module, gen, sector_kets(module, n, source), columns)
-        for row in below[source]:
+    if rows:
+        images = action_rows(module, gen, _level_kets(module.kind, n), columns)
+        for row in rows:
             image: dict[int, int] = {}
             for s, c in row.items():
                 for t, a in images[s].items():
@@ -164,9 +158,10 @@ def _quotient_has_no_singular(w: Submodule, n: int) -> bool:
 
     Checked sector by sector, over integers, by `lowering_kernel`: the kets
     off W's pivots span a complement of W, and the sparse rows of their am
-    and atm images, stacked on W's echelon rows at level n-1, must each take
-    a new leading column in `linalg.sparse_echelon`.  That one elimination
-    decides a zero kernel; a nonzero one is read off a second, tagged pass.
+    and atm images, stacked on W's level-(n-1) piece as it is stored, must
+    each take a new leading column in `linalg.sparse_echelon`.  That one
+    elimination decides a zero kernel; a nonzero one is read off a second,
+    tagged pass.
     """
     return not any(lowering_kernel(w.module, n, sector, w.pieces)[1]
                    for sector in sectors_for_level(n))

@@ -414,6 +414,17 @@ def sector_kets(module: VermaModule, n: int, sector: tuple[int, int]) -> list[Ke
 
 
 @lru_cache(maxsize=1024)
+def _level_columns(kind: str, n: int) -> dict[Ket, int]:
+    """The column of each ket of level n: its place in canonical order.
+
+    Every integer row on level n, of W and of the lowering maps, is keyed on
+    these columns.  One dict per kind and level is shared by every caller,
+    so none may update it.
+    """
+    return {ket: j for j, ket in enumerate(_level_kets(kind, n))}
+
+
+@lru_cache(maxsize=1024)
 def _sector_kets(kind: str, n: int, sector: tuple[int, int]) -> tuple[Ket, ...]:
     return tuple(k for k in _level_kets(kind, n) if VermaModule.degree(k) == sector)
 

@@ -8,9 +8,11 @@ own pivot choice, apart from the engine's one reduction loop,
 `nullspace` is a dense kernel, read off the echelon form of the matrix with
 its columns reversed; the engine reads its one kernel, that of the lowering
 pair, off `linalg.sparse_echelon` instead, and the tests' Fraction quotient
-check and the paper's recurrence systems use this one.  `dense_piece` reads
-an engine piece of W, sparse rows keyed on their leading columns, as the
-dense rows and pivot columns these oracles take.
+check and the paper's recurrence systems use this one.  W is stored one
+piece per level, sparse rows on the columns of that level keyed on their
+leading columns: `sector_pieces` splits a level's piece into its Z2xZ2
+sectors, on the columns of each sector's kets, and `dense_piece` reads a
+piece as the dense rows and pivot columns these oracles take.
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from z2rep.graded_algebra import Degree
 from z2rep.linalg import Piece, _int_row, _primitive, echelon_to_rref
-from z2rep.verma import VermaModule, Vector, act
+from z2rep.singular_solver import sectors_for_level
+from z2rep.verma import VermaModule, Vector, act, enumerate_level, sector_kets
 
 DensePiece = tuple[list[list[int]], list[int]]  # integer echelon rows, pivot columns
 
@@ -34,6 +38,24 @@ def dense_piece(piece: Piece, width: int) -> DensePiece:
     with their pivot columns, in increasing order of pivot."""
     pivots = sorted(piece)
     return [[piece[pc].get(j, 0) for j in range(width)] for pc in pivots], pivots
+
+
+def sector_pieces(module: VermaModule, n: int, piece: Piece) -> dict[Degree, Piece]:
+    """A piece on the columns of level n, split by Z2xZ2 sector, each row
+    moved onto the columns of sector_kets(module, n, sector) for the sector
+    it lies in.
+
+    Every sector of the level gets a piece, perhaps empty.  Asserts that
+    each row lies in one sector and that the split holds every row.
+    """
+    column = {ket: j for j, ket in enumerate(enumerate_level(module, n))}
+    out = {}
+    for sector in sectors_for_level(n):
+        place = {column[ket]: t for t, ket in enumerate(sector_kets(module, n, sector))}
+        out[sector] = {place[lead]: {place[j]: x for j, x in row.items()}
+                       for lead, row in piece.items() if lead in place}
+    assert sum(map(len, out.values())) == len(piece), f"level {n}: a row of W is in no sector"
+    return out
 
 
 def echelon(rows_int: list[list[int]]) -> DensePiece:

@@ -11,13 +11,13 @@ from fractions import Fraction
 
 import pytest
 
-from reference import _int_rows, dense_piece, rank
+from reference import _int_rows, dense_piece, rank, sector_pieces
 from z2rep import linalg
 from z2rep.graded_algebra import DEGREE, degree_add
 from z2rep.singular_solver import lowering_kernel, sectors_for_level
 from z2rep.submodule_quotient import (_quotient_has_no_singular, build_submodule,
                                       classify_module)
-from z2rep.verma import VermaModule, Vector, act, sector_kets
+from z2rep.verma import VermaModule, Vector, act, enumerate_level, sector_kets
 
 
 def mr(r):
@@ -33,13 +33,14 @@ def table_top(module):
 
 
 def assert_lowers_into(module, level, sector, kets, kernel, below):
-    """am v and atm v lie in `below`, the pieces of a submodule at level-1."""
+    """am v and atm v lie in `below`, the piece of a submodule at level-1."""
+    pieces = sector_pieces(module, level - 1, below)
     for coords in kernel:
         v = Vector(module, dict(zip(kets, coords)))
         for gen in ("am", "atm"):
             target = degree_add(sector, DEGREE[gen])
             targets = sector_kets(module, level - 1, target)
-            rows = dense_piece(below.get(target, {}), len(targets))[0]
+            rows = dense_piece(pieces[target], len(targets))[0]
             image = act(gen, v).coords(targets)
             assert rank(rows + [image]) == len(rows), \
                 f"level {level} sector {sector}: {gen} v is not in W"
@@ -52,7 +53,8 @@ def test_kernel_modulo_w_at_the_first_level_above_w():
     kets, kernel = lowering_kernel(module, 4, (0, 0), {3: w[3]})
     assert len(kernel) == 2
     assert_lowers_into(module, 4, (0, 0), kets, kernel, w[3])
-    assert kernel == linalg.echelon_to_rref(*dense_piece(w[4][(0, 0)], len(kets)))
+    assert kernel == linalg.echelon_to_rref(
+        *dense_piece(sector_pieces(module, 4, w[4])[(0, 0)], len(kets)))
 
 
 @pytest.mark.parametrize("module", [mrl(-5, 9), mrl(-3, 1), mrl(-3, 9), mrl(-9, 1)],
@@ -81,12 +83,14 @@ def test_maximal_submodule_is_w_sector_by_sector(module):
     j = {0: {}}
     for n in range(1, top + 1):
         j[n] = {}
+        column = {ket: c for c, ket in enumerate(enumerate_level(module, n))}
         for sector in sectors_for_level(n):
             kets, kernel = lowering_kernel(module, n, sector, {n - 1: j[n - 1]})
-            rows = [{t: x for t, x in enumerate(row) if x} for row in _int_rows(kernel)]
-            j[n][sector] = {min(row): row for row in rows}
+            rows = [{column[kets[t]]: x for t, x in enumerate(row) if x}
+                    for row in _int_rows(kernel)]
+            j[n].update({min(row): row for row in rows})
             assert kernel == linalg.echelon_to_rref(
-                *dense_piece(w.get(n, {}).get(sector, {}), len(kets))), \
+                *dense_piece(sector_pieces(module, n, w.get(n, {}))[sector], len(kets))), \
                 f"level {n} sector {sector}"
 
 

@@ -219,22 +219,28 @@ def test_nullspace_matches_fraction_oracle(matrix, row_scales):
 
 @st.composite
 def rows_on_echelon_pieces(draw):
-    """Integer rows stacked on two echelon pieces on interleaved columns, as
-    `lowering_kernel` stacks its rows on W: (ready piece, dense piece rows,
-    rows).  Some rows are integer combinations of the piece rows, or of those
-    and an earlier row, so they depend on the stack."""
+    """Integer rows stacked on two sector pieces on disjoint columns, merged
+    into one ready piece, as `lowering_kernel` stacks its rows on W's piece
+    of one level: (ready piece, dense piece rows, rows).  Some rows are
+    integer combinations of the piece rows, or of those and an earlier row,
+    so they depend on the stack."""
     widths = draw(st.lists(st.integers(min_value=0, max_value=4), min_size=2, max_size=2))
-    width = 2 * max(widths)
-    ready, block = {}, []
-    for b, w in enumerate(widths):
+    width = sum(widths)
+    order = draw(st.permutations(range(width)))
+    pieces, block = [], []
+    for columns in (sorted(order[:widths[0]]), sorted(order[widths[0]:])):
+        w = len(columns)
         ech, pivots = echelon(draw(st.lists(st.lists(small, min_size=w, max_size=w),
                                             max_size=w)))
-        for ech_row, pc in zip(ech, pivots):
-            ready[2 * pc + b] = {2 * t + b: x for t, x in enumerate(ech_row) if x}
+        piece = {columns[pc]: {columns[t]: x for t, x in enumerate(ech_row) if x}
+                 for ech_row, pc in zip(ech, pivots)}
+        for row in piece.values():
             dense = [0] * width
-            for c, x in ready[2 * pc + b].items():
+            for c, x in row.items():
                 dense[c] = x
             block.append(dense)
+        pieces.append(piece)
+    ready = {**pieces[0], **pieces[1]}
     rows = draw(st.lists(st.lists(small, min_size=width, max_size=width), max_size=6))
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         basis = block + rows[:1]

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from paper_routes import chi11_membership, membership_matrix, submodule_basis, wbasis_words
-from reference import dense_piece, rank
+from reference import dense_piece, rank, sector_pieces
 from z2rep import submodule_quotient
 from z2rep.singular_solver import closed_form, find_singular, sectors_for_level
 from z2rep.submodule_quotient import (ConsistencyError, build_submodule,
@@ -23,7 +23,7 @@ def mrl(r, lam):
 def w_vectors(w, n):
     """The echelon rows of W at level n, one sector piece after another."""
     out = []
-    for sector, piece in w.pieces[n].items():
+    for sector, piece in sector_pieces(w.module, n, w.pieces[n]).items():
         kets = sector_kets(w.module, n, sector)
         out += [Vector(w.module, dict(zip(kets, row)))
                 for row in dense_piece(piece, len(kets))[0]]
@@ -35,7 +35,8 @@ def in_w(w, vec, n):
     if vec.is_zero():
         return True
     kets = sector_kets(w.module, n, vec.degree())
-    rows = dense_piece(w.pieces.get(n, {}).get(vec.degree(), {}), len(kets))[0]
+    rows = dense_piece(sector_pieces(w.module, n, w.pieces.get(n, {}))[vec.degree()],
+                       len(kets))[0]
     return rank(rows + [vec.coords(kets)]) == len(rows)
 
 

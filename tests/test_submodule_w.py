@@ -1,4 +1,4 @@
-"""Differential test of the sector-split integer W builder.
+"""Differential test of the integer W builder.
 
 The reference is the engine's earlier construction of W, kept here only as
 an oracle: a breadth-first span over whole levels in Fraction arithmetic,
@@ -6,7 +6,8 @@ with the Lp and Ltp images included, and the quotient check that reduces
 the lowering images modulo that span in Fractions.  The relations that let
 the builder raise W by ap and by the Ltp chain of the seeds alone are
 pinned here too, and so are its refusal of ap images that share a leading
-column or vanish, and the rule that no shared row of W is updated in place.
+column or vanish, and the rule that no shared row of W, and no shared
+column map of a level, is updated in place.
 """
 
 import copy
@@ -14,15 +15,16 @@ from fractions import Fraction
 
 import pytest
 
-from reference import dense_piece, nullspace, reduce_mod_span, rref
-from z2rep import linalg, submodule_quotient
+from reference import dense_piece, nullspace, reduce_mod_span, rref, sector_pieces
+from z2rep import linalg, singular_solver, submodule_quotient, verma
 from z2rep.cli import main
 from z2rep.graded_algebra import SIGN, STRUCTURE_TABLE
+from z2rep.singular_solver import find_singular, sectors_for_level
 from z2rep.submodule_quotient import (ConsistencyError, Submodule,
                                       _quotient_has_no_singular, build_submodule,
                                       classify_module, detect_singular_orders,
                                       singular_pair)
-from z2rep.verma import VermaModule, Vector, act, enumerate_level, sector_kets
+from z2rep.verma import VermaModule, Vector, _level_kets, act, enumerate_level, sector_kets
 
 
 def mr(r):
@@ -100,7 +102,7 @@ def test_builder_matches_fraction_bfs(module, cap):
         # a reduced row echelon form is unique, so each of its rows lies in
         # the sector of its pivot and is that sector's RREF cut to its kets
         assert len(rr) == w.dim(n), f"level {n}"
-        for sector, piece in w.pieces[n].items():
+        for sector, piece in sector_pieces(module, n, w.pieces[n]).items():
             place = [kets.index(ket) for ket in sector_kets(module, n, sector)]
             rows, _ = dense_piece(piece, len(place))
             mine = [row for row, pc in zip(rr, pivots) if pc in place]
@@ -180,9 +182,9 @@ def test_builder_refuses_ap_images_on_one_leading_column(monkeypatch, capsys):
 def test_builder_refuses_a_zero_ap_image(monkeypatch, capsys):
     real = submodule_quotient._raised
 
-    def zeroed(module, gen, below, n, sector, columns):
+    def zeroed(module, gen, rows, n, columns):
         # the first ap image of W's rows is zero, as if ap had a kernel on W
-        images = real(module, gen, below, n, sector, columns)
+        images = real(module, gen, rows, n, columns)
         return [{}] + images[1:] if gen == "ap" and images else images
 
     monkeypatch.setattr(submodule_quotient, "_raised", zeroed)
@@ -195,7 +197,8 @@ def test_builder_refuses_a_zero_ap_image(monkeypatch, capsys):
 def test_shared_rows_are_never_mutated(monkeypatch):
     # a row dict of W is shared by `pieces`, by the pivot table of
     # `sparse_echelon` and by the ap images of the level above: none may be
-    # updated in place, by the builder or by the quotient check
+    # updated in place, by the builder or by the quotient check; nor may the
+    # column map of a level, which every module of its kind shares
     built = []
     real = submodule_quotient.build_submodule
 
@@ -204,12 +207,31 @@ def test_shared_rows_are_never_mutated(monkeypatch):
         built.append((w, copy.deepcopy(w.pieces)))
         return w
 
+    maps = {}
+    real_columns = verma._level_columns
+
+    def recorded_columns(kind, n):
+        columns = real_columns(kind, n)
+        maps.setdefault((kind, n), (columns, copy.deepcopy(columns)))
+        return columns
+
     monkeypatch.setattr(submodule_quotient, "build_submodule", recorded)
+    for module in (submodule_quotient, singular_solver):
+        monkeypatch.setattr(module, "_level_columns", recorded_columns)
     for module in (mr(-8), mrl(-5, 9)):
         assert classify_module(module).dimension is not None  # the check ran
     assert len(built) == 2
     for w, pieces in built:
         assert w.pieces == pieces, w.module
+    sweep = mrl(Fraction(1, 3), Fraction(5, 7))
+    for n in range(1, 13):
+        for sector in sectors_for_level(n):
+            find_singular(sweep, n, sector)
+    assert {kind for kind, _ in maps} == {"Mr", "MrLambda"}
+    assert ("MrLambda", 12) in maps  # the sweep reached its top
+    for (kind, n), (columns, before) in maps.items():
+        assert columns == before, (kind, n)
+        assert columns == {ket: j for j, ket in enumerate(_level_kets(kind, n))}, (kind, n)
     # every row reaches a ready row, one of which is not primitive
     ready = {0: {0: 2, 1: 4, 3: -6}, 1: {1: 3, 2: 1}, 4: {4: 5}}
     before = copy.deepcopy(ready)
