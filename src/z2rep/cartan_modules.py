@@ -76,8 +76,9 @@ def build_h_module(n: int, r, c) -> HModule:
     """Chain module of dimension n; c prescribes the image of the last vector.
 
     A closing polynomial with a coefficient above MAX_BITS bits, once its
-    denominators are cleared, is refused: `rational_roots` works on that
-    integer polynomial, and its cost grows with the bits.
+    denominators are cleared, is refused: `rational_roots` bisects the real
+    roots of that integer polynomial and of its derivatives across a range
+    of about that many bits.
     """
     if n < 1:
         raise ValueError("dimension must be positive")

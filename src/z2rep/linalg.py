@@ -99,51 +99,51 @@ def _primitive(p: list[int]) -> list[int]:
     return [x // g for x in p] if g > 1 else p
 
 
-def _neg_prem(a: list[int], b: list[int]) -> list[int]:
-    """A positive multiple of -(a mod b), primitive; [] when b divides a.
-
-    Each step scales by |lc(b)| only, so every sign is that of the true
-    remainder, as a Sturm sequence needs.
-    """
-    r = list(a)
-    lb, db = b[-1], len(b) - 1
-    scale, sign = abs(lb), (1 if lb > 0 else -1)
-    while len(r) > db:
-        f, shift = sign * r[-1], len(r) - 1 - db
-        r = [scale * x for x in r]
-        for i, y in enumerate(b):
-            r[shift + i] -= f * y
-        while r and r[-1] == 0:
-            r.pop()
-    return _primitive([-x for x in r])
-
-
 def _derivative(p: list[int]) -> list[int]:
     return [i * c for i, c in enumerate(p)][1:]
 
 
-def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
-    """a / b for integer polynomials that b divides, b primitive."""
-    r = list(a)
-    q = [0] * (len(a) - len(b) + 1)
-    for k in range(len(q) - 1, -1, -1):
-        q[k] = r[k + len(b) - 1] // b[-1]
-        for i, y in enumerate(b):
-            r[k + i] -= q[k] * y
-    return q
+def _bracket_roots(p: list[int], lo: int, hi: int) -> list[int]:
+    """Integers that bracket every real root of p in [lo, hi], ascending.
+
+    The list holds lo and hi.  Each real root of p in [lo, hi] is a member,
+    or lies between two consecutive members t and t + 1.  The list starts
+    from that of p', or from [lo, hi] when p is linear (Collins and Loos
+    1976).  On a stretch of length >= 2 between consecutive members, p' has
+    no root: it would be a member, or lie between two members one apart, and
+    neither fits inside the stretch.  So p is strictly monotone there, and
+    one bisection on its sign brackets its one possible root to width 1.
+    """
+    out = set(_bracket_roots(_derivative(p), lo, hi)) if len(p) > 2 else {lo, hi}
+    marks = sorted(out)
+    vals = [poly_eval(p, t) for t in marks]
+    for a, b, pa, pb in zip(marks, marks[1:], vals, vals[1:]):
+        if b - a < 2 or pa * pb >= 0:
+            continue  # no root inside, or it is an end
+        while b - a > 1:
+            mid = (a + b) // 2
+            pm = poly_eval(p, mid)
+            if pm == 0:
+                a = b = mid
+            elif (pm > 0) == (pa > 0):
+                a = mid
+            else:
+                b = mid
+        out |= {a, b}
+    return sorted(out)
 
 
 def rational_roots(coeffs) -> list[Fraction]:
     """All rational roots of the polynomial, ascending (multiplicity collapsed).
 
-    The cost grows with the bit size of the coefficients.  The square-free
-    part h = p / gcd(p, p') of the integer polynomial, with leading
-    coefficient a, becomes the monic integer polynomial q(y) = a^(d-1) h(y/a),
-    whose rational roots are integers.  A Sturm sequence isolates the real
-    roots of q, bisecting on integers.  Once an interval holds one root, that
-    root is simple, and the bisection goes on by the sign of q alone, until q
-    vanishes at the right end or the width is 1.  The right end y of each
-    final interval is a root only if p(y/a) is exactly 0.
+    The cost grows with the bit size of the coefficients.  The integer
+    polynomial p, with leading coefficient a, becomes the monic integer
+    polynomial q(y) = a^(d-1) p(y/a), whose rational roots are integers.
+    `_bracket_roots` brackets the real roots of q within Fujiwara's bound:
+    between consecutive roots of q' it bisects q, which is monotone there,
+    so each integer root of q is one of the integers it lists.  A multiple
+    root is a root of q' as well, so it is listed too, and no square-free
+    part is needed.  A listed y gives the root y/a only if q(y) is exactly 0.
     """
     cs = [Fraction(c) for c in coeffs]
     while cs and cs[-1] == 0:
@@ -157,49 +157,11 @@ def rational_roots(coeffs) -> list[Fraction]:
     if len(cs) == 1:
         return sorted(roots)
     p = _primitive(_int_row(cs)[0])
-    g, rem = p, _derivative(p)
-    while rem:  # Euclid's algorithm: g ends as gcd(p, p')
-        g, rem = rem, _neg_prem(g, rem)
-    h = _exact_quotient(p, _primitive(g)) if len(g) > 1 else p
-    if h[-1] < 0:
-        h = [-x for x in h]
-    a, d = h[-1], len(h) - 1
-    q = [c * a ** (d - 1 - i) for i, c in enumerate(h[:-1])] + [1]
-    chain = [q, _derivative(q)]
-    while len(chain[-1]) > 1:
-        chain.append(_neg_prem(chain[-2], chain[-1]))
-
-    def sign_changes(x: int) -> int:
-        signs = [v > 0 for v in (poly_eval(s, x) for s in chain) if v]
-        return sum(u != v for u, v in zip(signs, signs[1:]))
-
+    a, d = p[-1], len(p) - 1
+    q = [c * a ** (d - 1 - i) for i, c in enumerate(p[:-1])] + [1]
     # Fujiwara: every root y of q has |y| <= 2 max_i |q_(d-i)|^(1/i)
     bound = 2 << max((abs(c).bit_length() + d - i - 1) // (d - i)
                      for i, c in enumerate(q[:-1]))
-    # V(lo) - V(hi) counts the distinct real roots in (lo, hi]
-    todo = [(-bound - 1, sign_changes(-bound - 1), bound, sign_changes(bound))]
-    while todo:
-        lo, v_lo, hi, v_hi = todo.pop()
-        if v_lo == v_hi:
-            continue
-        if v_lo - v_hi == 1:
-            # one root in (lo, hi], simple since q is square-free: q changes
-            # sign across it, so bisect on the sign of q alone
-            q_hi = poly_eval(q, hi)
-            while q_hi and hi - lo > 1:
-                mid = (lo + hi) // 2
-                q_mid = poly_eval(q, mid)
-                if q_mid == 0 or (q_mid > 0) == (q_hi > 0):
-                    hi, q_hi = mid, q_mid
-                else:
-                    lo = mid
-        elif hi - lo > 1:
-            mid = (lo + hi) // 2
-            v_mid = sign_changes(mid)
-            todo += [(lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)]
-            continue
-        # hi is the one integer left that can be a root
-        cand = Fraction(hi, a)
-        if poly_eval(cs, cand) == 0:
-            roots.add(cand)
+    roots.update(Fraction(y, a) for y in _bracket_roots(q, -bound, bound)
+                 if poly_eval(q, y) == 0)
     return sorted(roots)

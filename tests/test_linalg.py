@@ -72,11 +72,17 @@ def test_rational_roots():
     assert linalg.rational_roots([F(0), F(0), F(1)]) == [F(0)]
     # t^2 - 2 has no rational root
     assert linalg.rational_roots([F(-2), F(0), F(1)]) == []
+    # m(t) = t^3 - 2(10^6 t - 1)^2 has two real roots within one unit
+    # interval, near 10^-6, and a third near 2*10^12
+    m = [-2, 4 * 10 ** 6, -2 * 10 ** 12, 1]
+    assert linalg.rational_roots(poly_mul([2, -3, 1], m)) == [F(1), F(2)]
+    assert linalg.rational_roots(poly_mul(poly_mul([-1, 3], [1, 1]), poly_mul(m, m))) == \
+        [F(-1), Fraction(1, 3)]
 
 
 def test_rational_roots_of_a_repeated_root():
-    # (t-1)^2 (t-3): the bisection evaluates at the double root 1 before it
-    # reaches 3, and a Sturm sequence counts right there only when square-free
+    # (t-1)^2 (t-3): q does not change sign across the double root 1, but 1
+    # is a root of q' as well, so it is one of the bracketing integers
     assert linalg.rational_roots(poly_mul([1, -2, 1], [-3, 1])) == [F(1), F(3)]
 
 
@@ -106,15 +112,15 @@ def _product_of_linear_factors(roots):
 
 @pytest.mark.parametrize("d", [12, 16])
 def test_rational_roots_of_many_67_bit_factors(d):
-    # every root is isolated in an interval of its own, which the bisection
-    # narrows on the sign of q alone
+    # every root lies on a stretch of its own between the bracketing integers
+    # of q', where q is monotone and one bisection on its sign narrows it
     roots = _random_roots(d, d)
     assert linalg.rational_roots(_product_of_linear_factors(roots)) == sorted(set(roots))
 
 
 def test_rational_roots_reject_an_isolated_irrational_root():
-    # a repeated rational root times t^2 - 2: each of +-sqrt(2) is isolated
-    # and narrowed to width 1, where its right end is not a root
+    # a repeated rational root times t^2 - 2: each of +-sqrt(2) is bracketed
+    # to width 1 on a monotone stretch, and neither end of it is a root
     roots = _random_roots(2, 5)
     poly = poly_mul(_product_of_linear_factors(roots + roots[:1]), [-2, 0, 1])
     assert linalg.rational_roots(poly) == sorted(set(roots))
