@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from . import linalg
 from .singular_solver import (closed_form, detect_singular_orders, lowering_kernel,
                               sectors_for_level)
-from .verma import (ConsistencyError, Ket, VermaModule, Vector, _level_columns, _level_kets,
-                    _numerators, action_rows)
+from .verma import (ConsistencyError, Ket, VermaModule, Vector, _level_columns, _numerators,
+                    _raising_rows)
 
 MAX_LEVEL = 200  # highest level a table, a sweep or a classification may reach
 
@@ -77,9 +77,11 @@ def build_submodule(module: VermaModule, max_level: int) -> Submodule:
     X_n are reduced against them, and each that takes a new leading column
     is a row of W_n.  The seeds and the raising generators are homogeneous,
     so no reduction mixes two sectors.  ap, atp and Ltp have integer
-    coefficients, independent of r and lambda, so once each seed's
-    denominators are cleared every row stays an integer vector.  Raises
-    ConsistencyError if two ap images lead on one column, or one is zero.
+    coefficients, independent of r and lambda: each is raised by its one
+    integer matrix per kind and level, `verma._raising_rows`, shared by
+    every module of the kind, so once each seed's denominators are cleared
+    every row stays an integer vector.  Raises ConsistencyError if two ap
+    images lead on one column, or one is zero.
     """
     seeds: dict[int, list[Vector]] = {}
     for M in detect_singular_orders(module):
@@ -104,15 +106,16 @@ def build_submodule(module: VermaModule, max_level: int) -> Submodule:
 
 def _raised(module: VermaModule, gen: str, rows: Collection[dict[int, int]], n: int,
             columns: dict[Ket, int]) -> list[dict[int, int]]:
-    """gen applied to each integer row of level n, as a sparse row on
-    `columns`, the columns of the level gen raises it to."""
+    """gen applied to each integer row of level n, as a sparse row on `columns`,
+    the columns of the level gen raises it to: the rows times the matrix that
+    `verma._raising_rows` holds for the module's kind."""
     out = []
     if rows:
-        images = action_rows(module, gen, _level_kets(module.kind, n), columns)
+        images = _raising_rows(module.kind, gen, n)
         for row in rows:
             image: dict[int, int] = {}
             for s, c in row.items():
-                for t, a in images[s].items():
+                for t, a in images[s]:
                     image[t] = image.get(t, 0) + c * a
             out.append({t: x for t, x in image.items() if x})
     return out

@@ -8,17 +8,22 @@ Ltp applied to the lowest weight vector — plus a lowest-weight label beta for
 the two-dimensional family.  Higher powers of atp never appear because
 atp^2 = -ap^2 = -2*Lp inside the enveloping algebra.
 
-The four odd generators ap, am, atp and atm act by explicit formulas.  Each
-even generator X is one bracket [[g1, g2]] = c X of two odd ones in the
-structure table and acts as that graded commutator over c (so Lp = -atp^2/2,
-Lm = am^2/2).  All ten actions live in one table, `_action`, keyed on module
-kind, generator and ket but not on r or lambda: it stores each coefficient
-doubled, as c1 + cr*r + cl*lambda in integers.  `act` and `action_rows`
-evaluate it with one module's integer weights from `_weights`; `act` sums
-integer numerators over one common denominator, in `_apply`, and builds one
-Fraction per nonzero output term.  `action_rows` builds an integer matrix,
-one dict per ket, written straight onto the columns the caller maps each
-target ket to.
+The four odd generators ap, am, atp and atm act by explicit formulas,
+`_odd_image`.  Each even generator X is one bracket [[g1, g2]] = c X of two
+odd ones in the structure table and acts as that graded commutator over c (so
+Lp = -atp^2/2, Lm = am^2/2).  The ten actions on single kets live in one
+table, `_action`, keyed on module kind, generator and ket but not on r or
+lambda: it stores each coefficient doubled, as c1 + cr*r + cl*lambda in
+integers.  `act` and `action_rows` evaluate it with one module's integer
+weights from `_weights`; `act` sums integer numerators over one common
+denominator, in `_apply`, and builds one Fraction per nonzero output term.
+`action_rows` builds an integer matrix, one dict per ket, written straight
+onto the columns the caller maps each target ket to.  The raising
+generators ap, atp and Ltp have integer coefficients that depend on neither
+r nor lambda, so each has one integer matrix per kind and level,
+`_raising_rows`, on the columns of `_level_columns`: ap and atp are read off
+`_odd_image`, and Ltp is composed from their matrices a level at a time, not
+ket by ket through `_action`.
 `representation_residual`, vanishing on every generator pair, certifies that
 the four formulas define a representation; it composes two generators
 through `_apply` and is integer throughout, so a zero residual builds no
@@ -201,9 +206,38 @@ def _action(kind: str, gen: str, ket: Ket) -> tuple[tuple[Ket, int, int, int], .
     coefficient is (c1 + cr*r + cl*lambda) / 2, with integer c1, cr and cl.
     lambda enters only as lambda**beta, ap and atp do not depend on r or
     lambda, and in each even image the r**2, r*lambda and lambda**2 parts
-    cancel, leaving halves.  Filling the table calls no public function, so
-    a traced replay counts the same calls whether or not it is filled.
+    cancel, leaving halves.  The odd images are those of `_odd_image`.
+    Filling the table calls no public function, so a traced replay counts
+    the same calls whether or not it is filled.
     """
+    if gen not in _EVEN_FROM_ODD:
+        return tuple((key, *coeffs) for key, coeffs in _odd_image(kind, gen, ket).items())
+    g1, g2, s, c = _EVEN_FROM_ODD[gen]
+    # on doubled entries, doubled X = (g1 g2 - s g2 g1) / 2c; each sum
+    # holds the parts in 1, r, lambda, r**2, r*lambda and lambda**2
+    sums: dict[Ket, list[int]] = {}
+    for first, then, sign in ((g2, g1, 1), (g1, g2, -s)):
+        for mid, p1, pr, pl in _action(kind, first, ket):
+            for fin, q1, qr, ql in _action(kind, then, mid):
+                acc = sums.setdefault(fin, [0] * 6)
+                for i, x in enumerate((p1 * q1, p1 * qr + pr * q1, p1 * ql + pl * q1,
+                                       pr * qr, pr * ql + pl * qr, pl * ql)):
+                    acc[i] += sign * x
+    out = []
+    for fin, acc in sums.items():
+        (c1, e1), (cr, er), (cl, el) = (divmod(x, 2 * c) for x in acc[:3])
+        if e1 or er or el or any(acc[3:]):
+            raise ConsistencyError(f"{gen} on {kind} {ket} is not integer halves: {acc}")
+        if c1 or cr or cl:
+            out.append((fin, c1, cr, cl))
+    return tuple(out)
+
+
+def _odd_image(kind: str, gen: str, ket: Ket) -> dict[Ket, tuple[int, int, int]]:
+    """One odd generator on one basis ket, by its explicit formula: each
+    target ket mapped to its doubled coefficient (c1, cr, cl), as in
+    `_action`.  Uncached: `_action` and `_raising_rows` each store what they
+    read from it."""
     a, k, m, b = ket
     kb = k % 2
     sgn = -1 if kb else 1  # (-1)^k
@@ -219,25 +253,7 @@ def _action(kind: str, gen: str, ket: Ket) -> tuple[tuple[Ket, int, int, int], .
         # c * lambda**b
         put(a2, k2, m2, b2, 0 if b else c, 0, c if b else 0)
 
-    if gen in _EVEN_FROM_ODD:
-        g1, g2, s, c = _EVEN_FROM_ODD[gen]
-        # on doubled entries, doubled X = (g1 g2 - s g2 g1) / 2c; each sum
-        # holds the parts in 1, r, lambda, r**2, r*lambda and lambda**2
-        sums: dict[Ket, list[int]] = {}
-        for first, then, sign in ((g2, g1, 1), (g1, g2, -s)):
-            for mid, p1, pr, pl in _action(kind, first, ket):
-                for fin, q1, qr, ql in _action(kind, then, mid):
-                    acc = sums.setdefault(fin, [0] * 6)
-                    for i, x in enumerate((p1 * q1, p1 * qr + pr * q1, p1 * ql + pl * q1,
-                                           pr * qr, pr * ql + pl * qr, pl * ql)):
-                        acc[i] += sign * x
-        for fin, acc in sums.items():
-            (c1, e1), (cr, er), (cl, el) = (divmod(x, 2 * c) for x in acc[:3])
-            if e1 or er or el or any(acc[3:]):
-                raise ConsistencyError(f"{gen} on {kind} {ket} is not integer halves: {acc}")
-            if c1 or cr or cl:
-                out[fin] = (c1, cr, cl)
-    elif gen == "atp":
+    if gen == "atp":
         put(1 - a, k + 2 * a, m, b, -1 if a else 1)
     elif gen == "ap":
         put(a, k + 1, m, b, 1)
@@ -268,8 +284,7 @@ def _action(kind: str, gen: str, ket: Ket) -> tuple[tuple[Ket, int, int, int], .
                 put_lam(0, k, m, 1 - b, -sgn * 2)
     else:
         raise ValueError(f"unknown generator {gen!r}")
-
-    return tuple((key, *coeffs) for key, coeffs in out.items())
+    return out
 
 
 def _weights(module: VermaModule, scale: int = 1) -> tuple[int, int, int, int]:
@@ -422,6 +437,57 @@ def _level_columns(kind: str, n: int) -> dict[Ket, int]:
     so none may update it.
     """
     return {ket: j for j, ket in enumerate(_level_kets(kind, n))}
+
+
+@lru_cache(maxsize=None)
+def _raising_rows(kind: str, gen: str, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """One raising generator, ap, atp or Ltp, on level n as an integer matrix.
+
+    Row j is the image of the j-th ket of level n in canonical order, as
+    (column, coefficient) pairs, in no particular order, on the columns
+    `_level_columns` gives level n + 1 (ap, atp) or n + 2 (Ltp).  The
+    coefficients are integers and do not depend on r or lambda, so every
+    module of a kind shares one table, filled on first use.  ap and atp are
+    read off `_odd_image`, and Ltp is composed from their tables, one level
+    at a time, through its bracket [[g1, g2]] = c Ltp in `_EVEN_FROM_ODD`:
+    Ltp = (g1 g2 - s g2 g1) / c.  Raises ConsistencyError if a coefficient is
+    not an integer, or c does not divide an entry of the composition.
+    Filling the table calls no public function, as for `_action`.
+    """
+    if gen == "Ltp":
+        g1, g2, s, c = _EVEN_FROM_ODD[gen]
+        terms = [(_raising_rows(kind, first, n), _raising_rows(kind, then, n + 1), sign)
+                 for first, then, sign in ((g2, g1, 1), (g1, g2, -s))]
+        rows = []
+        for j in range(len(terms[0][0])):
+            acc: dict[int, int] = {}
+            for lower, upper, sign in terms:
+                for mid, p in lower[j]:
+                    for t, q in upper[mid]:
+                        acc[t] = acc.get(t, 0) + sign * p * q
+            row = []
+            for t, x in acc.items():
+                y, rem = divmod(x, c)
+                if rem:
+                    raise ConsistencyError(f"{c} does not divide the {gen} entry {x} "
+                                           f"on {kind} level {n}")
+                if y:
+                    row.append((t, y))
+            rows.append(tuple(row))
+        return tuple(rows)
+    if gen not in ("ap", "atp"):
+        raise ValueError(f"{gen!r} is not a raising generator")
+    columns = _level_columns(kind, n + 1)
+    rows = []
+    for ket in _level_kets(kind, n):
+        row = []
+        for tket, (c1, cr, cl) in _odd_image(kind, gen, ket).items():
+            if c1 % 2 or cr or cl:
+                raise ConsistencyError(f"{gen} on {kind} {ket} is not an integer: "
+                                       f"{(c1, cr, cl)}")
+            row.append((columns[tket], c1 // 2))
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 @lru_cache(maxsize=1024)

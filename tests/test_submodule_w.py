@@ -164,15 +164,15 @@ def test_raising_words_reduce_to_ap_atp_ltp_order():
 
 
 def test_builder_refuses_ap_images_on_one_leading_column(monkeypatch, capsys):
-    real = submodule_quotient.action_rows
+    real = submodule_quotient._raising_rows
 
-    def collapsed(module, gen, kets, columns, scale=1):
+    def collapsed(kind, gen, n):
         # every ket sent where the first one goes: the ap images of W's rows
         # are multiples of one vector, so two of them lead on one column
-        images = real(module, gen, kets, columns, scale)
-        return [images[0]] * len(images) if gen == "ap" else images
+        images = real(kind, gen, n)
+        return (images[0],) * len(images) if gen == "ap" else images
 
-    monkeypatch.setattr(submodule_quotient, "action_rows", collapsed)
+    monkeypatch.setattr(submodule_quotient, "_raising_rows", collapsed)
     with pytest.raises(ConsistencyError, match="distinct columns"):
         build_submodule(mr(-8), 18)
     assert main(["classify", "--kind", "mr", "--r=-8"]) == 1

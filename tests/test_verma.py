@@ -10,8 +10,9 @@ from z2rep import verma
 from z2rep.graded_algebra import (AD_WEIGHT, DEGREE, GENERATORS, STRUCTURE_TABLE, degree_add,
                                   degree_dot)
 from z2rep.singular_solver import find_singular, sectors_for_level
+from z2rep.submodule_quotient import classify_module
 from reference import act_word, zero_vector
-from z2rep.verma import (Ket, VermaModule, Vector, act, act_element,
+from z2rep.verma import (ConsistencyError, Ket, VermaModule, Vector, act, act_element,
                          action_rows, enumerate_level, ket_sort_key,
                          representation_residual, sector_kets, vector_to_json)
 from z2rep.graded_algebra import Element, mutated_table
@@ -290,11 +291,66 @@ def test_filling_the_odd_table_calls_no_public_function(monkeypatch):
             monkeypatch.setattr(verma, name, refuse)
     assert verma.format_rational is refuse
     verma._action.cache_clear()
+    verma._raising_rows.cache_clear()
     for kind in ("Mr", "MrLambda"):
         for n in range(8):
             for ket in verma._level_kets(kind, n):
                 for gen in GENERATORS:
                     verma._action(kind, gen, ket)
+            for gen in ("ap", "atp", "Ltp"):
+                verma._raising_rows(kind, gen, n)
+
+
+def test_raising_table_is_the_action_it_replaces():
+    # the table of each raising generator is what `action_rows` reads off
+    # `_action` for every module of the kind, so it does not depend on r or
+    # lambda, and the Ltp composed level by level is `_action`'s Ltp
+    modules = {"Mr": [VermaModule("Mr", Fraction(1, 3)), VermaModule("Mr", Fraction(-7))],
+               "MrLambda": [VermaModule("MrLambda", Fraction(1, 3), Fraction(5, 7)),
+                            VermaModule("MrLambda", Fraction(-4), Fraction(9))]}
+    for kind, pair in modules.items():
+        for gen, shift in (("ap", 1), ("atp", 1), ("Ltp", 2)):
+            for n in range(41):
+                table = verma._raising_rows(kind, gen, n)
+                rows = [dict(row) for row in table]
+                assert [len(row) for row in rows] == [len(row) for row in table]
+                assert all(type(c) is int for row in rows for c in row.values())
+                for module in pair:
+                    assert rows == action_rows(module, gen, verma._level_kets(kind, n),
+                                               verma._level_columns(kind, n + shift))
+
+
+def test_raising_assembly_reads_one_table_per_kind():
+    # a second single-order MrLambda with the same M and another r adds no
+    # entry to the raising table
+    verma._raising_rows.cache_clear()
+    sizes = []
+    for r in (Fraction(1, 3), Fraction(-5, 7)):
+        verdict = classify_module(VermaModule("MrLambda", r, (r + 4) ** 2))
+        assert (verdict.case, verdict.M) == ("iv", 2)
+        sizes.append(verma._raising_rows.cache_info().currsize)
+    assert 0 < sizes[1] == sizes[0]
+
+
+def test_raising_table_refuses_entries_that_are_not_integers(monkeypatch):
+    # a bracket coefficient that does not divide the composed Ltp, and a
+    # half-integer odd coefficient, raise instead of filling the tables
+    g1, g2, s, c = verma._EVEN_FROM_ODD["Ltp"]
+    monkeypatch.setitem(verma._EVEN_FROM_ODD, "Ltp", (g1, g2, s, 3 * c))
+    verma._raising_rows.cache_clear()
+    verma._action.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match="does not divide the Ltp entry"):
+            verma._raising_rows("Mr", "Ltp", 0)
+        with pytest.raises(ConsistencyError, match="not integer halves"):
+            verma._action("Mr", "Ltp", Ket(0, 0, 0))
+        verma._raising_rows.cache_clear()
+        monkeypatch.setattr(verma, "_odd_image", lambda kind, gen, ket: {Ket(0, 1, 0): (1, 0, 0)})
+        with pytest.raises(ConsistencyError, match="is not an integer"):
+            verma._raising_rows("Mr", "ap", 0)
+    finally:
+        verma._raising_rows.cache_clear()
+        verma._action.cache_clear()
 
 
 def test_action_table_fills_on_levels_0_to_40():
