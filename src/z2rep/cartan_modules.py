@@ -29,7 +29,7 @@ from . import linalg
 from .rationals import format_rational
 
 MAX_DIM = 12  # largest chain dimension build_h_module accepts
-MAX_BITS = 1024  # largest closing coefficient, denominators cleared, in bits
+MAX_BITS = 1024  # bits of a closing coefficient, denominators cleared, and of r and lambda
 
 
 @dataclass(frozen=True)

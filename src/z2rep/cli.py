@@ -60,13 +60,22 @@ def load_run_config() -> RunConfig:
     return cfg
 
 
+def _parameter(text: str, flag: str) -> Fraction:
+    """r or lambda, refused above MAX_BITS bits in its numerator or denominator."""
+    x = parse_rational(text)
+    if max(abs(x.numerator), x.denominator).bit_length() > cartan_modules.MAX_BITS:
+        raise ValueError(f"{flag} has a numerator or denominator above the bound "
+                         f"{cartan_modules.MAX_BITS} bits")
+    return x
+
+
 def _module_from_args(args) -> VermaModule:
     kind = {"mr": "Mr", "mrl": "MrLambda"}[args.kind]
-    r = parse_rational(args.r)
+    r = _parameter(args.r, "--r")
     if kind == "MrLambda":
         if args.lam is None:
             raise ValueError("--lambda is required for --kind mrl")
-        return VermaModule(kind, r, parse_rational(args.lam))
+        return VermaModule(kind, r, _parameter(args.lam, "--lambda"))
     if args.lam is not None:
         raise ValueError("--lambda only applies to --kind mrl")
     return VermaModule(kind, r)

@@ -195,8 +195,8 @@ def lowering_kernel(module: VermaModule, level: int, sector: Degree,
     columns `_level_columns` gives each level; `find_singular` passes {} for
     W = 0.  The kets of the sector off W's pivots, the keys of its piece,
     span a complement of W.  Each gives one sparse integer row: its am and
-    atm images, scaled by den(r) * den(lambda), written by `action_rows`
-    straight onto the columns of level-1.  am and atm take the sector to the
+    atm images, scaled by den(r) * den(lambda), read by `action_rows` off
+    the action table on the columns of level-1.  am and atm take the sector to the
     two sectors of level-1, whose kets interleave in canonical order, so a
     row is the merge of two disjoint halves and stays banded near the ket's
     own place.  W's echelon rows at level-1, as they are stored, are the one
@@ -213,10 +213,10 @@ def lowering_kernel(module: VermaModule, level: int, sector: Degree,
     columns = _level_columns(module.kind, level)
     kets = [ket for ket in _sector_kets(module.kind, level, sector)
             if columns[ket] not in pivots]
-    targets = _level_columns(module.kind, level - 1)
-    width = len(targets)
-    rows = [{**am, **atm} for am, atm in zip(action_rows(module, "am", kets, targets, scale),
-                                             action_rows(module, "atm", kets, targets, scale))]
+    js = [columns[ket] for ket in kets]
+    width = len(_level_columns(module.kind, level - 1))
+    rows = [{**am, **atm} for am, atm in zip(action_rows(module, "am", level, js, scale),
+                                             action_rows(module, "atm", level, js, scale))]
     below = w.get(level - 1, {})
     if len(linalg.sparse_echelon(rows, below)) == len(kets):
         return kets, []

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from . import linalg
 from .singular_solver import (closed_form, detect_singular_orders, lowering_kernel,
                               sectors_for_level)
-from .verma import (ConsistencyError, Ket, VermaModule, Vector, _level_columns, _numerators,
-                    _raising_rows)
+from .verma import (ConsistencyError, VermaModule, Vector, _action_table, _level_columns,
+                    _numerators)
 
 MAX_LEVEL = 200  # highest level a table, a sweep or a classification may reach
 
@@ -77,11 +77,11 @@ def build_submodule(module: VermaModule, max_level: int) -> Submodule:
     X_n are reduced against them, and each that takes a new leading column
     is a row of W_n.  The seeds and the raising generators are homogeneous,
     so no reduction mixes two sectors.  ap, atp and Ltp have integer
-    coefficients, independent of r and lambda: each is raised by its one
-    integer matrix per kind and level, `verma._raising_rows`, shared by
-    every module of the kind, so once each seed's denominators are cleared
-    every row stays an integer vector.  Raises ConsistencyError if two ap
-    images lead on one column, or one is zero.
+    coefficients, independent of r and lambda: each raises by its matrix in
+    `verma._action_table`, the one action table of every module of the kind,
+    so once each seed's denominators are cleared every row stays an integer
+    vector.  Raises ConsistencyError if two ap images lead on one column, or
+    one is zero.
     """
     seeds: dict[int, list[Vector]] = {}
     for M in detect_singular_orders(module):
@@ -93,31 +93,31 @@ def build_submodule(module: VermaModule, max_level: int) -> Submodule:
         columns = _level_columns(module.kind, n)
         x = chain[n] = [{columns[ket]: c for ket, c in _numerators(v.terms)[1]}
                         for v in seeds.get(n, ())]
-        x += _raised(module, "Ltp", chain.get(n - 2, ()), n - 2, columns)
+        x += _raised(module, "Ltp", chain.get(n - 2, ()), n - 2)
         ready: linalg.Piece = {}
-        for row in _raised(module, "ap", pieces.get(n - 1, {}).values(), n - 1, columns):
+        for row in _raised(module, "ap", pieces.get(n - 1, {}).values(), n - 1):
             if not row or ready.setdefault(min(row), row) is not row:
                 raise ConsistencyError(f"the ap images of W at level {n - 1} do not lead "
                                        f"on distinct columns")
-        rest = x + _raised(module, "atp", chain.get(n - 1, ()), n - 1, columns)
+        rest = x + _raised(module, "atp", chain.get(n - 1, ()), n - 1)
         pieces[n] = {**ready, **linalg.sparse_echelon(rest, ready)}
     return Submodule(module, pieces)
 
 
-def _raised(module: VermaModule, gen: str, rows: Collection[dict[int, int]], n: int,
-            columns: dict[Ket, int]) -> list[dict[int, int]]:
-    """gen applied to each integer row of level n, as a sparse row on `columns`,
-    the columns of the level gen raises it to: the rows times the matrix that
-    `verma._raising_rows` holds for the module's kind."""
+def _raised(module: VermaModule, gen: str, rows: Collection[dict[int, int]],
+            n: int) -> list[dict[int, int]]:
+    """gen applied to each integer row of level n, as a sparse row on the
+    columns of the level gen raises it to: the rows times gen's doubled, even
+    matrix in `verma._action_table`, each image entry halved exactly."""
     out = []
     if rows:
-        images = _raising_rows(module.kind, gen, n)
+        images = _action_table(module.kind, gen, n)
         for row in rows:
             image: dict[int, int] = {}
             for s, c in row.items():
-                for t, a in images[s]:
+                for t, a, _, _ in images[s]:
                     image[t] = image.get(t, 0) + c * a
-            out.append({t: x for t, x in image.items() if x})
+            out.append({t: x >> 1 for t, x in image.items() if x})
     return out
 
 

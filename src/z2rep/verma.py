@@ -8,22 +8,19 @@ Ltp applied to the lowest weight vector — plus a lowest-weight label beta for
 the two-dimensional family.  Higher powers of atp never appear because
 atp^2 = -ap^2 = -2*Lp inside the enveloping algebra.
 
-The four odd generators ap, am, atp and atm act by explicit formulas,
-`_odd_image`.  Each even generator X is one bracket [[g1, g2]] = c X of two
-odd ones in the structure table and acts as that graded commutator over c (so
-Lp = -atp^2/2, Lm = am^2/2).  The ten actions on single kets live in one
-table, `_action`, keyed on module kind, generator and ket but not on r or
-lambda: it stores each coefficient doubled, as c1 + cr*r + cl*lambda in
-integers.  `act` and `action_rows` evaluate it with one module's integer
-weights from `_weights`; `act` sums integer numerators over one common
-denominator, in `_apply`, and builds one Fraction per nonzero output term.
-`action_rows` builds an integer matrix, one dict per ket, written straight
-onto the columns the caller maps each target ket to.  The raising
-generators ap, atp and Ltp have integer coefficients that depend on neither
-r nor lambda, so each has one integer matrix per kind and level,
-`_raising_rows`, on the columns of `_level_columns`: ap and atp are read off
-`_odd_image`, and Ltp is composed from their matrices a level at a time, not
-ket by ket through `_action`.
+The ten generators act through one table, `_action_table`: one integer
+matrix per module kind, generator and level, filled on first use and shared
+by every module of a kind, since it depends on neither r nor lambda.  Its
+rows are the kets of the level in canonical order, its columns those that
+`_level_columns` gives the target level, and each coefficient is stored
+doubled, as c1 + cr*r + cl*lambda in integers.  The four odd generators ap,
+am, atp and atm are written by their explicit formulas (`_odd_rows`).  Each
+even generator X is one bracket [[g1, g2]] = c X of two odd ones in the
+structure table and acts as that graded commutator over c (so Lp =
+-atp^2/2, Lm = am^2/2): it is composed from the odd matrices a level at a
+time (`_composed`).  `act`, `action_rows` and `representation_residual`
+evaluate the table with one module's integer weights from `_weights`,
+summing integer numerators over one common denominator.
 `representation_residual`, vanishing on every generator pair, certifies that
 the four formulas define a representation; it composes two generators
 through `_apply` and is integer throughout, so a zero residual builds no
@@ -38,7 +35,7 @@ from functools import lru_cache
 from math import lcm
 from typing import NamedTuple
 
-from .graded_algebra import SIGN, Element, STRUCTURE_TABLE
+from .graded_algebra import AD_WEIGHT, SIGN, Element, STRUCTURE_TABLE
 from .rationals import format_rational
 
 
@@ -197,94 +194,121 @@ _EVEN_FROM_ODD: dict[str, tuple[str, str, int, int]] = {
     for x, g1, g2 in (("R", "ap", "am"), ("Rt", "ap", "atm"), ("Lp", "atp", "atp"),
                       ("Lm", "am", "am"), ("Ltp", "ap", "atp"), ("Ltm", "am", "atm"))}
 
+_Rows = tuple[tuple[tuple[int, int, int, int], ...], ...]
+
 
 @lru_cache(maxsize=None)
-def _action(kind: str, gen: str, ket: Ket) -> tuple[tuple[Ket, int, int, int], ...]:
-    """Image of one basis ket under one generator, for every r and lambda.
+def _action_table(kind: str, gen: str, n: int) -> _Rows:
+    """One generator on level n as an integer matrix, for every r and lambda.
 
-    Returns ((ket, c1, cr, cl), ...), in no particular order: each
-    coefficient is (c1 + cr*r + cl*lambda) / 2, with integer c1, cr and cl.
-    lambda enters only as lambda**beta, ap and atp do not depend on r or
-    lambda, and in each even image the r**2, r*lambda and lambda**2 parts
-    cancel, leaving halves.  The odd images are those of `_odd_image`.
-    Filling the table calls no public function, so a traced replay counts
-    the same calls whether or not it is filled.
+    Row j is the image of the j-th ket of level n, as entries (column, c1,
+    cr, cl) in no particular order on the columns of level n +
+    AD_WEIGHT[gen], each coefficient (c1 + cr*r + cl*lambda) / 2; lambda
+    enters only as lambda**beta.  ConsistencyError if a coefficient of ap,
+    atp or Ltp is not an integer independent of r and lambda.  Filling calls
+    no public function, so a traced replay counts the same calls whether or
+    not the table is filled.
     """
-    if gen not in _EVEN_FROM_ODD:
-        return tuple((key, *coeffs) for key, coeffs in _odd_image(kind, gen, ket).items())
-    g1, g2, s, c = _EVEN_FROM_ODD[gen]
-    # on doubled entries, doubled X = (g1 g2 - s g2 g1) / 2c; each sum
-    # holds the parts in 1, r, lambda, r**2, r*lambda and lambda**2
-    sums: dict[Ket, list[int]] = {}
-    for first, then, sign in ((g2, g1, 1), (g1, g2, -s)):
-        for mid, p1, pr, pl in _action(kind, first, ket):
-            for fin, q1, qr, ql in _action(kind, then, mid):
-                acc = sums.setdefault(fin, [0] * 6)
-                for i, x in enumerate((p1 * q1, p1 * qr + pr * q1, p1 * ql + pl * q1,
-                                       pr * qr, pr * ql + pl * qr, pl * ql)):
-                    acc[i] += sign * x
-    out = []
-    for fin, acc in sums.items():
-        (c1, e1), (cr, er), (cl, el) = (divmod(x, 2 * c) for x in acc[:3])
-        if e1 or er or el or any(acc[3:]):
-            raise ConsistencyError(f"{gen} on {kind} {ket} is not integer halves: {acc}")
-        if c1 or cr or cl:
-            out.append((fin, c1, cr, cl))
-    return tuple(out)
+    rows = _composed(kind, gen, n) if gen in _EVEN_FROM_ODD else _odd_rows(kind, gen, n)
+    if gen in ("ap", "atp", "Ltp") and any(c1 % 2 or cr or cl
+                                           for row in rows for _, c1, cr, cl in row):
+        raise ConsistencyError(f"{gen} on {kind} level {n} is not an integer")
+    return rows
 
 
-def _odd_image(kind: str, gen: str, ket: Ket) -> dict[Ket, tuple[int, int, int]]:
-    """One odd generator on one basis ket, by its explicit formula: each
-    target ket mapped to its doubled coefficient (c1, cr, cl), as in
-    `_action`.  Uncached: `_action` and `_raising_rows` each store what they
-    read from it."""
-    a, k, m, b = ket
-    kb = k % 2
-    sgn = -1 if kb else 1  # (-1)^k
-    mrl = kind == "MrLambda"
-    out: dict[Ket, tuple[int, int, int]] = {}
+def _odd_rows(kind: str, gen: str, n: int) -> _Rows:
+    """One odd generator on level n, by its explicit formula, as
+    `_action_table` stores it.  No target ket is built: (alpha, k, m, beta)
+    lies in column nb*(2m + [alpha = 0 and k > 0]) + beta of its level, nb
+    the number of beta values, since for each m canonical order puts alpha =
+    1 first whenever the alpha = 0 ket has k > 0."""
+    if gen not in ("ap", "am", "atp", "atm"):
+        raise ValueError(f"unknown generator {gen!r}")
+    nb = 1 if kind == "Mr" else 2
+    rows = []
+    row: list[tuple[int, int, int, int]] = []
 
     def put(a2, k2, m2, b2, c1, cr=0, cl=0):
-        # the target kets of one image are distinct
+        # the targets of one image are distinct
         if (c1 or cr or cl) and k2 >= 0 and m2 >= 0:
-            out[Ket(a2, k2, m2, b2)] = (2 * c1, 2 * cr, 2 * cl)
+            row.append((nb * (2 * m2 + (a2 == 0 and k2 > 0)) + b2, 2 * c1, 2 * cr, 2 * cl))
 
     def put_lam(a2, k2, m2, b2, c):
         # c * lambda**b
         put(a2, k2, m2, b2, 0 if b else c, 0, c if b else 0)
 
-    if gen == "atp":
-        put(1 - a, k + 2 * a, m, b, -1 if a else 1)
-    elif gen == "ap":
-        put(a, k + 1, m, b, 1)
-        if a == 1:
-            put(0, k, m + 1, b, -sgn * 4)
-    elif gen == "atm":
-        if a == 0:
-            put(1, k - 2, m, b, -(k - kb))
-            put(0, k + 1, m - 1, b, sgn * m)
-            if mrl:
-                put_lam(0, k - 1, m, 1 - b, -2 * kb)
-        else:
-            put(0, k, m, b, k + kb + 4 * m, 2)
-            put(1, k + 1, m - 1, b, -sgn * m)
-            if mrl:
-                put_lam(1, k - 1, m, 1 - b, 2 * kb)
-    elif gen == "am":
-        if a == 0:
+    for a, k, m, beta in _level_kets(kind, n):
+        b = beta or 0
+        kb = k % 2
+        sgn = -1 if kb else 1  # (-1)^k
+        row = []
+        if gen == "atp":
+            put(1 - a, k + 2 * a, m, b, -1 if a else 1)
+        elif gen == "ap":
+            put(a, k + 1, m, b, 1)
+            if a == 1:
+                put(0, k, m + 1, b, -sgn * 4)
+        elif gen == "atm":
+            if a == 0:
+                put(1, k - 2, m, b, -(k - kb))
+                put(0, k + 1, m - 1, b, sgn * m)
+                if nb == 2:
+                    put_lam(0, k - 1, m, 1 - b, -2 * kb)
+            else:
+                put(0, k, m, b, k + kb + 4 * m, 2)
+                put(1, k + 1, m - 1, b, -sgn * m)
+                if nb == 2:
+                    put_lam(1, k - 1, m, 1 - b, 2 * kb)
+        elif a == 0:  # am
             put(0, k - 1, m, b, k - kb, 2 * kb)
             put(1, k, m - 1, b, -sgn * m)
         else:
             put(1, k - 1, m, b, k - 3 * kb, 2 * kb)
             put(0, k + 2, m - 1, b, -sgn * m)
             put(0, k - 2, m + 1, b, -sgn * 4 * (k - kb))
-            if mrl:
+            if nb == 2:
                 # coefficient forced by [am, atp] = -2 Rt on the lowest
                 # weight space; certified by representation_residual
                 put_lam(0, k, m, 1 - b, -sgn * 2)
-    else:
-        raise ValueError(f"unknown generator {gen!r}")
-    return out
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _composed(kind: str, gen: str, n: int) -> _Rows:
+    """One even generator X on level n, composed from the odd tables a level
+    at a time through its bracket [[g1, g2]] = c X in `_EVEN_FROM_ODD`:
+    X = (g1 g2 - s g2 g1) / c, so the doubled X is the sum of the products of
+    doubled entries over 2c.  The r**2, r*lambda and lambda**2 parts must
+    cancel and 2c must divide the rest, else ConsistencyError.  A product of
+    two entries with no r or lambda part adds to the constant part alone."""
+    g1, g2, s, c = _EVEN_FROM_ODD[gen]
+    terms = [(_action_table(kind, first, n),
+              _action_table(kind, then, n + AD_WEIGHT[first]), sign)
+             for first, then, sign in ((g2, g1, 1), (g1, g2, -s))]
+    rows = []
+    for j in range(len(terms[0][0])):
+        one: dict[int, int] = {}
+        more: dict[int, list[int]] = {}  # parts in r, lambda, r**2, r*lambda, lambda**2
+        for lower, upper, sign in terms:
+            for mid, p1, pr, pl in lower[j]:
+                for t, q1, qr, ql in upper[mid]:
+                    one[t] = one.get(t, 0) + sign * p1 * q1
+                    if pr or pl or qr or ql:
+                        acc = more.setdefault(t, [0] * 5)
+                        for i, x in enumerate((p1 * qr + pr * q1, p1 * ql + pl * q1, pr * qr,
+                                               pr * ql + pl * qr, pl * ql)):
+                            acc[i] += sign * x
+        row = []
+        for t, x in one.items():
+            xr, xl, *square = more.get(t, (0,) * 5)
+            (c1, e1), (cr, er), (cl, el) = divmod(x, 2 * c), divmod(xr, 2 * c), divmod(xl, 2 * c)
+            if e1 or er or el or any(square):
+                raise ConsistencyError(f"{gen} on {kind} level {n} is not integer halves: "
+                                       f"{[x, xr, xl, *square]}")
+            if c1 or cr or cl:
+                row.append((t, c1, cr, cl))
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _weights(module: VermaModule, scale: int = 1) -> tuple[int, int, int, int]:
@@ -305,76 +329,99 @@ def _numerators(terms: dict) -> tuple[int, list]:
     return d, [(key, c.numerator * (d // c.denominator)) for key, c in terms.items()]
 
 
-def _apply(out: dict[Ket, int], kind: str, gen: str, nums,
-           w1: int, wr: int, wl: int) -> dict[Ket, int]:
-    """Add gen applied to the sum of num * ket over the pairs (ket, num) of
-    nums to out, as integer numerators over the den of `_weights`.  (w1, wr,
-    wl) are the weights of `_weights`, times one integer factor that the
-    caller folds in."""
-    for ket, num in nums:
-        for tket, c1, cr, cl in _action(kind, gen, ket):
-            out[tket] = out.get(tket, 0) + num * (c1 * w1 + cr * wr + cl * wl)
+def _columns(kind: str, terms: dict[Ket, Fraction]) -> tuple[int, dict[int, dict[int, int]]]:
+    """(d, {level: {column: d * c}}) for the terms {ket: c} of a vector, put
+    over d as `_numerators` puts them, in one pass (this runs once per
+    residual), each level's `_level_columns` read once."""
+    d = lcm(*[c.denominator for c in terms.values()])
+    out, maps = {}, {}
+    for ket, c in terms.items():
+        n = ket.alpha + ket.k + 2 * ket.m
+        if n not in out:
+            out[n], maps[n] = {}, _level_columns(kind, n)
+        out[n][maps[n][ket]] = c.numerator * (d // c.denominator)
+    return d, out
+
+
+def _vector(module: VermaModule, out: dict[int, dict[int, int]], den: int) -> Vector:
+    """The vector with numerators out, as `_columns` keys them, over den."""
+    terms = {}
+    for n, nums in out.items():
+        if any(nums.values()):  # a zero residual looks up no kets
+            kets = _level_kets(module.kind, n)
+            terms.update({kets[t]: Fraction(x, den) for t, x in nums.items() if x})
+    return Vector(module, terms)
+
+
+def _apply(out: dict[int, int], rows: _Rows, nums, w1: int, wr: int, wl: int) -> dict[int, int]:
+    """Add rows, one generator's matrix on one level, applied to the pairs
+    (column, num) of nums, to out, as integer numerators over the den of
+    `_weights`.  (w1, wr, wl) are its weights, times one integer factor that
+    the caller folds in."""
+    for j, num in nums:
+        for t, c1, cr, cl in rows[j]:
+            out[t] = out.get(t, 0) + num * (c1 * w1 + cr * wr + cl * wl)
     return out
 
 
-def _act_sum(out: dict[Ket, int], kind: str, coeffs: dict[str, Fraction], nums,
-             w1: int, wr: int, wl: int) -> int:
-    """Add the sum of c * gen over the items (gen, c) of coeffs, applied to
-    nums, to out as `_apply` does, with every c put over e, the lcm of their
-    denominators; return e."""
-    e, scaled = _numerators(coeffs)
-    for gen, f in scaled:
-        _apply(out, kind, gen, nums, f * w1, f * wr, f * wl)
-    return e
+def _act_sum(out: dict[int, dict[int, int]], kind: str, scaled: list[tuple[str, int]], cols,
+             w1: int, wr: int, wl: int) -> dict[int, dict[int, int]]:
+    """Add the sum of f * gen over the pairs (gen, f) of scaled, applied to
+    cols, to out, both keyed as `_columns` keys them, as `_apply` does."""
+    for n, nums in cols.items():
+        for gen, f in scaled:
+            rows = _action_table(kind, gen, n)  # ValueError for an unknown generator
+            _apply(out.setdefault(n + AD_WEIGHT[gen], {}), rows, nums.items(),
+                   f * w1, f * wr, f * wl)
+    return out
+
+
+def _act(vec: Vector, e: int, scaled: list[tuple[str, int]]) -> Vector:
+    """The sum of f * gen over the pairs (gen, f) of scaled, applied to vec,
+    over e.  vec is put over d, the lcm of its denominators, `_apply` sums
+    the integer numerators over e * d * den one level at a time, and one
+    Fraction is built per nonzero target ket."""
+    module = vec.module
+    w1, wr, wl, den = _weights(module)
+    d, cols = _columns(module.kind, vec.terms)
+    out = _act_sum({}, module.kind, scaled, cols, w1, wr, wl)
+    return _vector(module, out, e * d * den)
 
 
 def act(gen: str, vec: Vector) -> Vector:
-    """Exact action of one generator, extended linearly over the terms.
-
-    vec is put over d, the lcm of its denominators, `_apply` sums the
-    integer numerators over d * den, and one Fraction is built per nonzero
-    target ket.
-    """
-    module = vec.module
-    w1, wr, wl, den = _weights(module)
-    d, nums = _numerators(vec.terms)
-    out = _apply({}, module.kind, gen, nums, w1, wr, wl)
-    return Vector(module, {ket: Fraction(t, d * den) for ket, t in out.items() if t})
+    """Exact action of one generator, extended linearly over the terms."""
+    return _act(vec, 1, [(gen, 1)])
 
 
-def action_rows(module: VermaModule, gen: str, kets: list[Ket], columns: dict[Ket, int],
+def action_rows(module: VermaModule, gen: str, n: int, js,
                 scale: int = 1) -> list[dict[int, int]]:
-    """One generator as a sparse integer matrix: for each ket, its image as a
-    dict from the column that `columns` gives each target ket to scale times
-    its coefficient, read off `_action` in integers.  The image of every ket
-    must lie among the keys of `columns`, and `scale` must clear every
-    denominator of the coefficients.
+    """Rows js of gen's matrix on level n, read off `_action_table` in
+    integers: for each column j of js, the image of the j-th ket of level n
+    as a dict from the column of each target ket on its level to scale times
+    its coefficient.  `scale` must clear every denominator of the
+    coefficients.
     """
     w1, wr, wl, den = _weights(module, scale)
-    kind = module.kind
+    rows = _action_table(module.kind, gen, n)
     out = []
-    for ket in kets:
+    for j in js:
         row = {}
-        for tket, c1, cr, cl in _action(kind, gen, ket):
+        for t, c1, cr, cl in rows[j]:
             scaled = c1 * w1 + cr * wr + cl * wl
             c, rem = divmod(scaled, den)
             if rem:
                 raise ValueError(f"scale {scale} leaves {gen} coefficient "
                                  f"{Fraction(scaled, den)}")
             if c:
-                row[columns[tket]] = c
+                row[t] = c
         out.append(row)
     return out
 
 
 def act_element(elem: Element, vec: Vector) -> Vector:
-    """Bilinear extension of `act` to algebra elements, summed over e * d * den."""
-    module = vec.module
-    w1, wr, wl, den = _weights(module)
-    d, nums = _numerators(vec.terms)
-    out: dict[Ket, int] = {}
-    e = _act_sum(out, module.kind, elem.terms, nums, w1, wr, wl)
-    return Vector(module, {ket: Fraction(t, e * d * den) for ket, t in out.items() if t})
+    """Bilinear extension of `act` to algebra elements, summed over e * d * den,
+    e the lcm of the denominators of elem."""
+    return _act(vec, *_numerators(elem.terms))
 
 
 def representation_residual(g1: str, g2: str, vec: Vector) -> Vector:
@@ -386,32 +433,35 @@ def representation_residual(g1: str, g2: str, vec: Vector) -> Vector:
     on all 100 pairs is exactly the condition that the four odd formulas
     (including signs) define a representation of the structure table.
 
-    Summed in integers throughout: v is put over d, the lcm of its
-    denominators, the bracket over e, the lcm of its, and all three parts
-    over e * d * den**2, den from `_weights`.  A Fraction is built only for
-    a nonzero residual term, so a representation builds none.
+    Summed in integers throughout, one level of v at a time: v is put over
+    d, the lcm of its denominators, the bracket over e, the lcm of its, and
+    all three parts over e * d * den**2, den from `_weights`.  A Fraction is
+    built only for a nonzero residual term, so a representation builds none.
     """
     module, kind = vec.module, vec.module.kind
     w1, wr, wl, den = _weights(module)
-    d, nums = _numerators(vec.terms)
-    out: dict[Ket, int] = {}
-    e = _act_sum(out, kind, STRUCTURE_TABLE[(g1, g2)].terms, nums,
-                 -den * w1, -den * wr, -den * wl)
-    for first, then, f in ((g2, g1, e), (g1, g2, -SIGN[g1, g2] * e)):
-        # over d * den after the first generator, d * den**2 after the second
-        once = _apply({}, kind, first, nums, w1, wr, wl).items()
-        _apply(out, kind, then, once, f * w1, f * wr, f * wl)
-    return Vector(module, {ket: Fraction(t, e * d * den * den) for ket, t in out.items() if t})
+    d, cols = _columns(kind, vec.terms)
+    e, scaled = _numerators(STRUCTURE_TABLE[(g1, g2)].terms)
+    out = _act_sum({}, kind, scaled, cols, -den * w1, -den * wr, -den * wl)
+    for n, level_nums in cols.items():
+        acc = out.setdefault(n + AD_WEIGHT[g1] + AD_WEIGHT[g2], {})
+        for first, then, f in ((g2, g1, e), (g1, g2, -SIGN[g1, g2] * e)):
+            # over d * den after the first generator, d * den**2 after the second
+            once = _apply({}, _action_table(kind, first, n), level_nums.items(), w1, wr, wl)
+            _apply(acc, _action_table(kind, then, n + AD_WEIGHT[first]), once.items(),
+                   f * w1, f * wr, f * wl)
+    return _vector(module, out, e * d * den * den)
 
 
 def enumerate_level(module: VermaModule, n: int) -> tuple[Ket, ...]:
     """All kets with alpha + k + 2m = n, in canonical order."""
+    if n < 0:
+        raise ValueError("level must be nonnegative")
     return _level_kets(module.kind, n)
 
 
+@lru_cache(maxsize=1024)
 def _level_kets(kind: str, n: int) -> tuple[Ket, ...]:
-    if n < 0:
-        raise ValueError("level must be nonnegative")
     betas = (None,) if kind == "Mr" else (0, 1)
     # generated in canonical order: for each m, alpha = 1 has the smaller k
     return tuple(Ket(alpha, n - alpha - 2 * m, m, beta)
@@ -419,75 +469,15 @@ def _level_kets(kind: str, n: int) -> tuple[Ket, ...]:
                  if n - alpha - 2 * m >= 0 for beta in betas)
 
 
-def sector_kets(module: VermaModule, n: int, sector: tuple[int, int]) -> list[Ket]:
-    """The kets of one Z2xZ2 sector of level n, in canonical order.
-
-    They depend on the module kind only, so every module of a kind shares
-    one cached tuple; each caller gets its own list.
-    """
-    return list(_sector_kets(module.kind, n, sector))
-
-
 @lru_cache(maxsize=1024)
 def _level_columns(kind: str, n: int) -> dict[Ket, int]:
     """The column of each ket of level n: its place in canonical order.
 
-    Every integer row on level n, of W and of the lowering maps, is keyed on
-    these columns.  One dict per kind and level is shared by every caller,
-    so none may update it.
+    Every integer row on level n, of W, of the lowering maps and of
+    `_action_table`, is keyed on these columns.  One dict per kind and level
+    is shared by every caller, so none may update it.
     """
     return {ket: j for j, ket in enumerate(_level_kets(kind, n))}
-
-
-@lru_cache(maxsize=None)
-def _raising_rows(kind: str, gen: str, n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """One raising generator, ap, atp or Ltp, on level n as an integer matrix.
-
-    Row j is the image of the j-th ket of level n in canonical order, as
-    (column, coefficient) pairs, in no particular order, on the columns
-    `_level_columns` gives level n + 1 (ap, atp) or n + 2 (Ltp).  The
-    coefficients are integers and do not depend on r or lambda, so every
-    module of a kind shares one table, filled on first use.  ap and atp are
-    read off `_odd_image`, and Ltp is composed from their tables, one level
-    at a time, through its bracket [[g1, g2]] = c Ltp in `_EVEN_FROM_ODD`:
-    Ltp = (g1 g2 - s g2 g1) / c.  Raises ConsistencyError if a coefficient is
-    not an integer, or c does not divide an entry of the composition.
-    Filling the table calls no public function, as for `_action`.
-    """
-    if gen == "Ltp":
-        g1, g2, s, c = _EVEN_FROM_ODD[gen]
-        terms = [(_raising_rows(kind, first, n), _raising_rows(kind, then, n + 1), sign)
-                 for first, then, sign in ((g2, g1, 1), (g1, g2, -s))]
-        rows = []
-        for j in range(len(terms[0][0])):
-            acc: dict[int, int] = {}
-            for lower, upper, sign in terms:
-                for mid, p in lower[j]:
-                    for t, q in upper[mid]:
-                        acc[t] = acc.get(t, 0) + sign * p * q
-            row = []
-            for t, x in acc.items():
-                y, rem = divmod(x, c)
-                if rem:
-                    raise ConsistencyError(f"{c} does not divide the {gen} entry {x} "
-                                           f"on {kind} level {n}")
-                if y:
-                    row.append((t, y))
-            rows.append(tuple(row))
-        return tuple(rows)
-    if gen not in ("ap", "atp"):
-        raise ValueError(f"{gen!r} is not a raising generator")
-    columns = _level_columns(kind, n + 1)
-    rows = []
-    for ket in _level_kets(kind, n):
-        row = []
-        for tket, (c1, cr, cl) in _odd_image(kind, gen, ket).items():
-            if c1 % 2 or cr or cl:
-                raise ConsistencyError(f"{gen} on {kind} {ket} is not an integer: "
-                                       f"{(c1, cr, cl)}")
-            row.append((columns[tket], c1 // 2))
-        rows.append(tuple(row))
-    return tuple(rows)
 
 
 @lru_cache(maxsize=1024)

@@ -1,7 +1,12 @@
 """Oracles the tests compare the engine against: exact linear algebra over
 the rationals, seeded sampling, and words of generators on Verma vectors.
 
-No command of the engine runs any of these; they check it.  The linear
+No command of the engine runs any of these; they check it.  `ket_action`
+is the generator action in the form the engine first had: the four odd
+formulas on single kets (`odd_image`), each even generator composed from
+them ket by ket through its bracket; the engine's one action table,
+`verma._action_table`, writes the same formulas on columns and composes the
+even generators a level at a time.  The linear
 algebra is built on `echelon`, a dense fraction-free elimination with its
 own pivot choice, apart from the engine's one reduction loop,
 `linalg.sparse_echelon`; `det` and `char_poly` are independent of both.
@@ -19,11 +24,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from z2rep.graded_algebra import Degree
 from z2rep.linalg import Piece, _int_row, _primitive, echelon_to_rref
 from z2rep.singular_solver import sectors_for_level
-from z2rep.verma import VermaModule, Vector, act, enumerate_level, sector_kets
+from z2rep.graded_algebra import SIGN, STRUCTURE_TABLE
+from z2rep.verma import (ConsistencyError, Ket, VermaModule, Vector, _sector_kets, act,
+                         enumerate_level)
 
 DensePiece = tuple[list[list[int]], list[int]]  # integer echelon rows, pivot columns
 
@@ -42,8 +50,8 @@ def dense_piece(piece: Piece, width: int) -> DensePiece:
 
 def sector_pieces(module: VermaModule, n: int, piece: Piece) -> dict[Degree, Piece]:
     """A piece on the columns of level n, split by Z2xZ2 sector, each row
-    moved onto the columns of sector_kets(module, n, sector) for the sector
-    it lies in.
+    moved onto the columns of _sector_kets(module.kind, n, sector) for the
+    sector it lies in.
 
     Every sector of the level gets a piece, perhaps empty.  Asserts that
     each row lies in one sector and that the split holds every row.
@@ -51,7 +59,7 @@ def sector_pieces(module: VermaModule, n: int, piece: Piece) -> dict[Degree, Pie
     column = {ket: j for j, ket in enumerate(enumerate_level(module, n))}
     out = {}
     for sector in sectors_for_level(n):
-        place = {column[ket]: t for t, ket in enumerate(sector_kets(module, n, sector))}
+        place = {column[ket]: t for t, ket in enumerate(_sector_kets(module.kind, n, sector))}
         out[sector] = {place[lead]: {place[j]: x for j, x in row.items()}
                        for lead, row in piece.items() if lead in place}
     assert sum(map(len, out.values())) == len(piece), f"level {n}: a row of W is in no sector"
@@ -248,3 +256,91 @@ def act_word(word: tuple[str, ...], vec: Vector) -> Vector:
     for gen in reversed(word):
         vec = act(gen, vec)
     return vec
+
+
+def odd_image(kind: str, gen: str, ket: Ket) -> dict[Ket, tuple[int, int, int]]:
+    """One odd generator on one basis ket, by its explicit formula: each
+    target ket mapped to its doubled coefficient (c1, cr, cl), that is
+    (c1 + cr*r + cl*lambda) / 2."""
+    a, k, m, b = ket
+    kb = k % 2
+    sgn = -1 if kb else 1  # (-1)^k
+    mrl = kind == "MrLambda"
+    out: dict[Ket, tuple[int, int, int]] = {}
+
+    def put(a2, k2, m2, b2, c1, cr=0, cl=0):
+        # the target kets of one image are distinct
+        if (c1 or cr or cl) and k2 >= 0 and m2 >= 0:
+            out[Ket(a2, k2, m2, b2)] = (2 * c1, 2 * cr, 2 * cl)
+
+    def put_lam(a2, k2, m2, b2, c):
+        # c * lambda**b
+        put(a2, k2, m2, b2, 0 if b else c, 0, c if b else 0)
+
+    if gen == "atp":
+        put(1 - a, k + 2 * a, m, b, -1 if a else 1)
+    elif gen == "ap":
+        put(a, k + 1, m, b, 1)
+        if a == 1:
+            put(0, k, m + 1, b, -sgn * 4)
+    elif gen == "atm":
+        if a == 0:
+            put(1, k - 2, m, b, -(k - kb))
+            put(0, k + 1, m - 1, b, sgn * m)
+            if mrl:
+                put_lam(0, k - 1, m, 1 - b, -2 * kb)
+        else:
+            put(0, k, m, b, k + kb + 4 * m, 2)
+            put(1, k + 1, m - 1, b, -sgn * m)
+            if mrl:
+                put_lam(1, k - 1, m, 1 - b, 2 * kb)
+    elif gen == "am":
+        if a == 0:
+            put(0, k - 1, m, b, k - kb, 2 * kb)
+            put(1, k, m - 1, b, -sgn * m)
+        else:
+            put(1, k - 1, m, b, k - 3 * kb, 2 * kb)
+            put(0, k + 2, m - 1, b, -sgn * m)
+            put(0, k - 2, m + 1, b, -sgn * 4 * (k - kb))
+            if mrl:
+                put_lam(0, k, m, 1 - b, -sgn * 2)
+    else:
+        raise ValueError(f"unknown generator {gen!r}")
+    return out
+
+
+# each even generator X as its bracket [[g1, g2]] = c X of two odd ones
+_EVEN = {"R": ("ap", "am"), "Rt": ("ap", "atm"), "Lp": ("atp", "atp"),
+         "Lm": ("am", "am"), "Ltp": ("ap", "atp"), "Ltm": ("am", "atm")}
+
+
+@lru_cache(maxsize=None)
+def ket_action(kind: str, gen: str, ket: Ket) -> dict[Ket, tuple[int, int, int]]:
+    """Image of one basis ket under one generator, for every r and lambda,
+    each target mapped to its doubled coefficient (c1, cr, cl) as in
+    `odd_image`.  An even X = (g1 g2 - s g2 g1) / c is composed ket by ket
+    from the odd images; its r**2, r*lambda and lambda**2 parts must cancel,
+    leaving halves, else ConsistencyError.  Callers must not update the
+    cached dicts."""
+    if gen not in _EVEN:
+        return odd_image(kind, gen, ket)
+    g1, g2 = _EVEN[gen]
+    c = int(STRUCTURE_TABLE[(g1, g2)].terms[gen])
+    # the parts in 1, r, lambda, r**2, r*lambda and lambda**2 of the doubled
+    # products, which are four times the products
+    sums: dict[Ket, list[int]] = {}
+    for first, then, sign in ((g2, g1, 1), (g1, g2, -SIGN[g1, g2])):
+        for mid, (p1, pr, pl) in ket_action(kind, first, ket).items():
+            for fin, (q1, qr, ql) in ket_action(kind, then, mid).items():
+                acc = sums.setdefault(fin, [0] * 6)
+                for i, x in enumerate((p1 * q1, p1 * qr + pr * q1, p1 * ql + pl * q1,
+                                       pr * qr, pr * ql + pl * qr, pl * ql)):
+                    acc[i] += sign * x
+    out = {}
+    for fin, acc in sums.items():
+        (c1, e1), (cr, er), (cl, el) = (divmod(x, 2 * c) for x in acc[:3])
+        if e1 or er or el or any(acc[3:]):
+            raise ConsistencyError(f"{gen} on {kind} {ket} is not integer halves: {acc}")
+        if c1 or cr or cl:
+            out[fin] = (c1, cr, cl)
+    return out

@@ -199,6 +199,30 @@ def test_cartan_admits_a_1024_bit_closing_coefficient(capsys):
     assert code == 0 and json.loads(out)["dim"] == 12
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify", "--kind", "mr", f"--r=1/{2 ** 1024}"),  # a 1025-bit denominator
+    ("singular", "--kind", "mr", f"--r={2 ** 1024 + 1}", "--level", "1"),  # 1025-bit numerator
+    ("dims", "--kind", "mrl", "--r", "1", f"--lambda=-{2 ** 1030 + 1}/3"),
+    ("singular", "--kind", "mrl", "--r", "1/3", f"--lambda=5/{2 ** 2000 + 1}", "--sweep"),
+], ids=["classify-r-denominator", "singular-r-numerator", "dims-lambda-numerator",
+        "sweep-lambda-denominator"])
+def test_module_parameters_above_the_bit_bound_are_refused(argv, capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "has a numerator or denominator above the bound 1024 bits" in err
+    assert time.perf_counter() - start < 1
+
+
+def test_module_parameters_of_1024_bits_are_admitted(capsys):
+    r, lam = Fraction(1, 2 ** 1023 + 1), Fraction(-(2 ** 1024 - 1), 2 ** 1024 - 3)
+    code, out, _ = run_cli(capsys, "singular", "--kind", "mrl", f"--r={r}", f"--lambda={lam}",
+                           "--level", "3", "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(row["r"], row["lambda"]) for row in rows] == [(f"{r}", f"{lam}")] * 2
+
+
 def test_cartan_bad_c_length(capsys):
     code, _, err = run_cli(capsys, "cartan", "--n", "4", "--r", "0", "--c", "1")
     assert code == 2

@@ -17,7 +17,7 @@ from z2rep.graded_algebra import DEGREE, degree_add
 from z2rep.singular_solver import lowering_kernel, sectors_for_level
 from z2rep.submodule_quotient import (_quotient_has_no_singular, build_submodule,
                                       classify_module)
-from z2rep.verma import VermaModule, Vector, act, enumerate_level, sector_kets
+from z2rep.verma import VermaModule, Vector, _sector_kets, act, enumerate_level
 
 
 def mr(r):
@@ -39,7 +39,7 @@ def assert_lowers_into(module, level, sector, kets, kernel, below):
         v = Vector(module, dict(zip(kets, coords)))
         for gen in ("am", "atm"):
             target = degree_add(sector, DEGREE[gen])
-            targets = sector_kets(module, level - 1, target)
+            targets = _sector_kets(module.kind, level - 1, target)
             rows = dense_piece(pieces[target], len(targets))[0]
             image = act(gen, v).coords(targets)
             assert rank(rows + [image]) == len(rows), \

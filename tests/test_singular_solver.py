@@ -347,14 +347,14 @@ def _call(fn, *args):
 
 def test_closed_forms_match_the_first_written_ones():
     from z2rep.singular_solver import CLOSED_FORMS
-    from z2rep.verma import sector_kets
+    from z2rep.verma import _sector_kets
     for module, M in _singular_modules():
         forms = ("chi01", "chi10", "chi11") if module.kind == "Mr" else ("chi01", "chi10")
         for which in forms:
             new, old = closed_form(module, which, M), _first_closed_form(module, which, M)
             assert new == old and not new.is_zero(), (module, which, M)
             multiple, sector, _ = CLOSED_FORMS[which]
-            assert set(old.terms) == set(sector_kets(module, multiple * (2 * M + 1), sector))
+            assert set(old.terms) == set(_sector_kets(module.kind, multiple * (2 * M + 1), sector))
 
 
 def test_closed_form_errors_match_the_first_written_ones():

@@ -9,7 +9,7 @@ from z2rep.singular_solver import closed_form, find_singular, sectors_for_level
 from z2rep.submodule_quotient import (ConsistencyError, build_submodule,
                                       classify_module, detect_singular_orders,
                                       quotient_dims, singular_pair, verma_dim)
-from z2rep.verma import VermaModule, Vector, act, enumerate_level, sector_kets
+from z2rep.verma import VermaModule, Vector, _sector_kets, act, enumerate_level
 
 
 def mr(r):
@@ -24,7 +24,7 @@ def w_vectors(w, n):
     """The echelon rows of W at level n, one sector piece after another."""
     out = []
     for sector, piece in sector_pieces(w.module, n, w.pieces[n]).items():
-        kets = sector_kets(w.module, n, sector)
+        kets = _sector_kets(w.module.kind, n, sector)
         out += [Vector(w.module, dict(zip(kets, row)))
                 for row in dense_piece(piece, len(kets))[0]]
     return out
@@ -34,7 +34,7 @@ def in_w(w, vec, n):
     """vec lies in W: appending it to its sector piece at level n keeps the rank."""
     if vec.is_zero():
         return True
-    kets = sector_kets(w.module, n, vec.degree())
+    kets = _sector_kets(w.module.kind, n, vec.degree())
     rows = dense_piece(sector_pieces(w.module, n, w.pieces.get(n, {}))[vec.degree()],
                        len(kets))[0]
     return rank(rows + [vec.coords(kets)]) == len(rows)

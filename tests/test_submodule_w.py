@@ -24,7 +24,8 @@ from z2rep.submodule_quotient import (ConsistencyError, Submodule,
                                       _quotient_has_no_singular, build_submodule,
                                       classify_module, detect_singular_orders,
                                       singular_pair)
-from z2rep.verma import VermaModule, Vector, _level_kets, act, enumerate_level, sector_kets
+from z2rep.verma import (VermaModule, Vector, _level_kets, _sector_kets, act,
+                         enumerate_level)
 
 
 def mr(r):
@@ -103,7 +104,7 @@ def test_builder_matches_fraction_bfs(module, cap):
         # the sector of its pivot and is that sector's RREF cut to its kets
         assert len(rr) == w.dim(n), f"level {n}"
         for sector, piece in sector_pieces(module, n, w.pieces[n]).items():
-            place = [kets.index(ket) for ket in sector_kets(module, n, sector)]
+            place = [kets.index(ket) for ket in _sector_kets(module.kind, n, sector)]
             rows, _ = dense_piece(piece, len(place))
             mine = [row for row, pc in zip(rr, pivots) if pc in place]
             assert all(not x for row in mine for j, x in enumerate(row) if j not in place)
@@ -164,7 +165,7 @@ def test_raising_words_reduce_to_ap_atp_ltp_order():
 
 
 def test_builder_refuses_ap_images_on_one_leading_column(monkeypatch, capsys):
-    real = submodule_quotient._raising_rows
+    real = submodule_quotient._action_table
 
     def collapsed(kind, gen, n):
         # every ket sent where the first one goes: the ap images of W's rows
@@ -172,7 +173,7 @@ def test_builder_refuses_ap_images_on_one_leading_column(monkeypatch, capsys):
         images = real(kind, gen, n)
         return (images[0],) * len(images) if gen == "ap" else images
 
-    monkeypatch.setattr(submodule_quotient, "_raising_rows", collapsed)
+    monkeypatch.setattr(submodule_quotient, "_action_table", collapsed)
     with pytest.raises(ConsistencyError, match="distinct columns"):
         build_submodule(mr(-8), 18)
     assert main(["classify", "--kind", "mr", "--r=-8"]) == 1
@@ -182,9 +183,9 @@ def test_builder_refuses_ap_images_on_one_leading_column(monkeypatch, capsys):
 def test_builder_refuses_a_zero_ap_image(monkeypatch, capsys):
     real = submodule_quotient._raised
 
-    def zeroed(module, gen, rows, n, columns):
+    def zeroed(module, gen, rows, n):
         # the first ap image of W's rows is zero, as if ap had a kernel on W
-        images = real(module, gen, rows, n, columns)
+        images = real(module, gen, rows, n)
         return [{}] + images[1:] if gen == "ap" and images else images
 
     monkeypatch.setattr(submodule_quotient, "_raised", zeroed)

@@ -11,10 +11,10 @@ from z2rep.graded_algebra import (AD_WEIGHT, DEGREE, GENERATORS, STRUCTURE_TABLE
                                   degree_dot)
 from z2rep.singular_solver import find_singular, sectors_for_level
 from z2rep.submodule_quotient import classify_module
-from reference import act_word, zero_vector
+from reference import act_word, ket_action, zero_vector
 from z2rep.verma import (ConsistencyError, Ket, VermaModule, Vector, act, act_element,
-                         action_rows, enumerate_level, ket_sort_key,
-                         representation_residual, sector_kets, vector_to_json)
+                         action_rows, enumerate_level, representation_residual,
+                         vector_to_json)
 from z2rep.graded_algebra import Element, mutated_table
 
 MR = VermaModule("Mr", Fraction(1))
@@ -201,25 +201,15 @@ def test_vector_json():
 
 
 def test_sector_kets_canonical_order():
-    kets = sector_kets(MR, 3, (0, 1))
-    assert kets == sorted(kets, key=lambda k: (k.m, k.k, k.alpha, k.beta or 0))
+    kets = verma._sector_kets("Mr", 3, (0, 1))
+    assert list(kets) == sorted(kets, key=lambda k: (k.m, k.k, k.alpha, k.beta or 0))
     for mod in (MR, MRL):
         for n in range(13):
             kets = enumerate_level(mod, n)
             assert list(kets) == sorted(kets, key=lambda k: (k.m, k.k, k.alpha, k.beta or 0))
             for sector in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                assert sector_kets(mod, n, sector) == [k for k in kets
-                                                       if mod.degree(k) == sector]
-
-
-def test_sector_kets_cache_cannot_be_mutated():
-    kets = sector_kets(MR, 5, (0, 1))
-    expected = list(kets)
-    kets.clear()
-    other = VermaModule("Mr", Fraction(-7, 3))
-    assert sector_kets(other, 5, (0, 1)) == expected
-    assert expected == [k for k in enumerate_level(other, 5)
-                        if other.degree(k) == (0, 1)]
+                assert verma._sector_kets(mod.kind, n, sector) == tuple(
+                    k for k in kets if mod.degree(k) == sector)
 
 
 def test_zero_vector():
@@ -243,28 +233,21 @@ def test_zero_vector():
 def test_action_rows_scale_clears_denominators(module, gen, good_scale, bad_scale):
     kets = list(enumerate_level(module, 5))
     targets = list(enumerate_level(module, 4))
-    columns = {ket: t for t, ket in enumerate(targets)}
-    rows = action_rows(module, gen, kets, columns, good_scale)
+    rows = action_rows(module, gen, 5, range(len(kets)), good_scale)
     for ket, row in zip(kets, rows):
         image = act(gen, Vector(module, {ket: 1}))
         assert all(type(c) is int for c in row.values())
         assert {targets[t]: Fraction(c, good_scale) for t, c in row.items()} == image.terms
-    # the rows land on whatever columns the caller names, here the odd ones
-    odd = action_rows(module, gen, kets, {ket: 2 * t + 1 for t, ket in enumerate(targets)},
-                      good_scale)
-    for ket, row in zip(kets, odd):
-        image = act(gen, Vector(module, {ket: 1}))
-        assert all(t % 2 == 1 for t in row)
-        assert {targets[t // 2]: Fraction(c, good_scale) for t, c in row.items()} == image.terms
     if bad_scale is not None:
         with pytest.raises(ValueError, match=f"scale {bad_scale} leaves {gen}"):
-            action_rows(module, gen, kets, columns, bad_scale)
+            action_rows(module, gen, 5, range(len(kets)), bad_scale)
 
 
 def test_lowering_assembly_reads_one_table_per_kind():
     # the action table does not depend on r or lambda: a second module of a
-    # kind adds no entry
-    verma._action.cache_clear()
+    # kind adds no entry, whether it lowers (a sweep) or raises (W of a
+    # single-order MrLambda with the same M and another r)
+    verma._action_table.cache_clear()
     generic = {"Mr": [(Fraction(1, 3),), (Fraction(-7, 5),)],
                "MrLambda": [(Fraction(1, 3), Fraction(5, 7)), (Fraction(-7, 5), Fraction(2))]}
     for kind, params in generic.items():
@@ -274,8 +257,14 @@ def test_lowering_assembly_reads_one_table_per_kind():
             for n in range(1, 13):
                 for sector in sectors_for_level(n):
                     assert not find_singular(module, n, sector).nullspace
-            sizes.append(verma._action.cache_info().currsize)
-        assert 0 < sizes[1] <= sizes[0]
+            sizes.append(verma._action_table.cache_info().currsize)
+        assert 0 < sizes[1] == sizes[0]
+    sizes = [sizes[1]]
+    for r in (Fraction(1, 3), Fraction(-5, 7)):
+        verdict = classify_module(VermaModule("MrLambda", r, (r + 4) ** 2))
+        assert (verdict.case, verdict.M) == ("iv", 2)
+        sizes.append(verma._action_table.cache_info().currsize)
+    assert sizes[0] < sizes[1] == sizes[2]
 
 
 def test_filling_the_odd_table_calls_no_public_function(monkeypatch):
@@ -290,78 +279,78 @@ def test_filling_the_odd_table_calls_no_public_function(monkeypatch):
                 and not name.startswith("_"):
             monkeypatch.setattr(verma, name, refuse)
     assert verma.format_rational is refuse
-    verma._action.cache_clear()
-    verma._raising_rows.cache_clear()
+    verma._action_table.cache_clear()
     for kind in ("Mr", "MrLambda"):
         for n in range(8):
-            for ket in verma._level_kets(kind, n):
-                for gen in GENERATORS:
-                    verma._action(kind, gen, ket)
-            for gen in ("ap", "atp", "Ltp"):
-                verma._raising_rows(kind, gen, n)
+            for gen in GENERATORS:
+                verma._action_table(kind, gen, n)
 
 
-def test_raising_table_is_the_action_it_replaces():
-    # the table of each raising generator is what `action_rows` reads off
-    # `_action` for every module of the kind, so it does not depend on r or
-    # lambda, and the Ltp composed level by level is `_action`'s Ltp
-    modules = {"Mr": [VermaModule("Mr", Fraction(1, 3)), VermaModule("Mr", Fraction(-7))],
-               "MrLambda": [VermaModule("MrLambda", Fraction(1, 3), Fraction(5, 7)),
-                            VermaModule("MrLambda", Fraction(-4), Fraction(9))]}
-    for kind, pair in modules.items():
-        for gen, shift in (("ap", 1), ("atp", 1), ("Ltp", 2)):
-            for n in range(41):
-                table = verma._raising_rows(kind, gen, n)
-                rows = [dict(row) for row in table]
-                assert [len(row) for row in rows] == [len(row) for row in table]
-                assert all(type(c) is int for row in rows for c in row.values())
-                for module in pair:
-                    assert rows == action_rows(module, gen, verma._level_kets(kind, n),
-                                               verma._level_columns(kind, n + shift))
-
-
-def test_raising_assembly_reads_one_table_per_kind():
-    # a second single-order MrLambda with the same M and another r adds no
-    # entry to the raising table
-    verma._raising_rows.cache_clear()
-    sizes = []
-    for r in (Fraction(1, 3), Fraction(-5, 7)):
-        verdict = classify_module(VermaModule("MrLambda", r, (r + 4) ** 2))
-        assert (verdict.case, verdict.M) == ("iv", 2)
-        sizes.append(verma._raising_rows.cache_info().currsize)
-    assert 0 < sizes[1] == sizes[0]
+def test_action_table_is_the_reference_action():
+    # the one table, read back onto kets, is the Ket-form oracle of
+    # tests/reference.py (odd formulas ket by ket, even generators composed
+    # ket by ket) on every ket of levels 0..40, for all ten generators
+    for kind in ("Mr", "MrLambda"):
+        for n in range(41):
+            kets = verma._level_kets(kind, n)
+            for gen in GENERATORS:
+                targets = verma._level_kets(kind, n + AD_WEIGHT[gen])
+                rows = verma._action_table(kind, gen, n)
+                assert len(rows) == len(kets)
+                for ket, row in zip(kets, rows):
+                    image = {targets[t]: tuple(coeffs) for t, *coeffs in row}
+                    assert len(image) == len(row)
+                    assert image == ket_action(kind, gen, ket), (kind, gen, ket)
 
 
 def test_raising_table_refuses_entries_that_are_not_integers(monkeypatch):
-    # a bracket coefficient that does not divide the composed Ltp, and a
-    # half-integer odd coefficient, raise instead of filling the tables
+    # a bracket coefficient that 2c does not divide in the composed Ltp, and
+    # an odd coefficient of ap that is a half or has an r or lambda part,
+    # raise instead of filling the table
     g1, g2, s, c = verma._EVEN_FROM_ODD["Ltp"]
     monkeypatch.setitem(verma._EVEN_FROM_ODD, "Ltp", (g1, g2, s, 3 * c))
-    verma._raising_rows.cache_clear()
-    verma._action.cache_clear()
+    verma._action_table.cache_clear()
     try:
-        with pytest.raises(ConsistencyError, match="does not divide the Ltp entry"):
-            verma._raising_rows("Mr", "Ltp", 0)
-        with pytest.raises(ConsistencyError, match="not integer halves"):
-            verma._action("Mr", "Ltp", Ket(0, 0, 0))
-        verma._raising_rows.cache_clear()
-        monkeypatch.setattr(verma, "_odd_image", lambda kind, gen, ket: {Ket(0, 1, 0): (1, 0, 0)})
-        with pytest.raises(ConsistencyError, match="is not an integer"):
-            verma._raising_rows("Mr", "ap", 0)
+        with pytest.raises(ConsistencyError, match="Ltp on Mr level 0 is not integer halves"):
+            verma._action_table("Mr", "Ltp", 0)
+        for entry in ((0, 1, 0, 0), (0, 2, 2, 0), (0, 2, 0, 2)):
+            verma._action_table.cache_clear()
+            monkeypatch.setattr(verma, "_odd_rows", lambda kind, gen, n: ((entry,),))
+            with pytest.raises(ConsistencyError, match="ap on Mr level 0 is not an integer"):
+                verma._action_table("Mr", "ap", 0)
     finally:
-        verma._raising_rows.cache_clear()
-        verma._action.cache_clear()
+        verma._action_table.cache_clear()
+
+
+def test_composition_refuses_parts_that_do_not_cancel(monkeypatch):
+    # one more r in every coefficient of am leaves an r**2 part in
+    # Lm = am**2 / 2, which the composition refuses
+    real = verma._odd_rows
+
+    def skewed(kind, gen, n):
+        rows = real(kind, gen, n)
+        if gen == "am":
+            return tuple(tuple((t, c1, cr + 2, cl) for t, c1, cr, cl in row) for row in rows)
+        return rows
+
+    verma._action_table.cache_clear()
+    monkeypatch.setattr(verma, "_odd_rows", skewed)
+    try:
+        with pytest.raises(ConsistencyError, match="Lm on Mr level 2 is not integer halves"):
+            verma._action_table("Mr", "Lm", 2)
+    finally:
+        verma._action_table.cache_clear()
 
 
 def test_action_table_fills_on_levels_0_to_40():
-    # every even entry is (c1 + cr*r + cl*lambda)/2 in integers, else the
-    # fill raises ConsistencyError
-    verma._action.cache_clear()
+    # every entry is (c1 + cr*r + cl*lambda)/2 in integers, else the fill
+    # raises ConsistencyError
+    verma._action_table.cache_clear()
     for kind in ("Mr", "MrLambda"):
         for n in range(41):
-            for ket in verma._level_kets(kind, n):
-                for gen in GENERATORS:
-                    for _, *coeffs in verma._action(kind, gen, ket):
+            for gen in GENERATORS:
+                for row in verma._action_table(kind, gen, n):
+                    for _, *coeffs in row:
                         assert all(type(c) is int for c in coeffs) and any(coeffs)
 
 
@@ -370,7 +359,7 @@ def _poly_apply(kind, gen, vec):
     with every table coefficient doubled."""
     out = {}
     for (ket, (i, j)), n in vec.items():
-        for tket, *coeffs in verma._action(kind, gen, ket):
+        for tket, coeffs in ket_action(kind, gen, ket).items():
             for (di, dj), c in zip(((0, 0), (1, 0), (0, 1)), coeffs):
                 key = (tket, (i + di, j + dj))
                 out[key] = out.get(key, 0) + c * n
@@ -379,7 +368,7 @@ def _poly_apply(kind, gen, vec):
 
 def test_representation_holds_for_every_r_and_lambda():
     # X Y - s Y X - [[X, Y]] = 0 on every ket of levels 0..8, all 100
-    # ordered pairs, as polynomials in r and lambda read off the table: the
+    # ordered pairs, as polynomials in r and lambda read off the oracle: the
     # products carry the doubling twice, so the bracket term is doubled once
     for kind in ("Mr", "MrLambda"):
         for n in range(9):
@@ -406,11 +395,11 @@ def test_ap_leading_term_is_the_shifted_ket(module):
     # coefficient 1 (stored doubled), for every r and lambda
     for n in range(31):
         shifted = []
-        for ket in enumerate_level(module, n):
-            image = verma._action(module.kind, "ap", ket)
-            lead = min(image, key=lambda term: ket_sort_key(term[0]))
-            assert lead == (ket._replace(k=ket.k + 1), 2, 0, 0)
-            shifted.append(lead[0])
+        targets = enumerate_level(module, n + 1)
+        for ket, row in zip(enumerate_level(module, n), verma._action_table(module.kind, "ap", n)):
+            t, *coeffs = min(row)
+            assert (targets[t], *coeffs) == (ket._replace(k=ket.k + 1), 2, 0, 0)
+            shifted.append(targets[t])
         # the shift is an order-preserving injection of level n into n+1
         hit = set(shifted)
         assert shifted == [ket for ket in enumerate_level(module, n + 1) if ket in hit]
@@ -418,11 +407,11 @@ def test_ap_leading_term_is_the_shifted_ket(module):
 
 def _ref_act(module, gen, terms):
     """gen on {ket: Fraction} term by term in Fractions, each coefficient
-    (c1 + cr*r + cl*lambda) / 2 read off `_action`; zeros dropped."""
+    (c1 + cr*r + cl*lambda) / 2 read off the oracle `ket_action`; zeros dropped."""
     lam = module.lam if module.lam is not None else Fraction(0)
     out = {}
     for ket, c in terms.items():
-        for tket, c1, cr, cl in verma._action(module.kind, gen, ket):
+        for tket, (c1, cr, cl) in ket_action(module.kind, gen, ket).items():
             out[tket] = out.get(tket, Fraction(0)) + c * (c1 + cr * module.r + cl * lam) / 2
     return {ket: c for ket, c in out.items() if c}
 
