@@ -79,11 +79,6 @@ class Element:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def homogeneous_degree(self) -> Degree | None:
-        """The common degree of all terms, or None if mixed or zero."""
-        degs = {DEGREE[g] for g in self.terms}
-        return degs.pop() if len(degs) == 1 else None
-
     def sorted_terms(self) -> list[tuple[str, Fraction]]:
         order = {g: i for i, g in enumerate(GENERATORS)}
         return sorted(self.terms.items(), key=lambda it: order[it[0]])

@@ -29,13 +29,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, isqrt
 
 from . import linalg
 from .graded_algebra import Degree
 from .rationals import format_rational
 from .verma import (Ket, VermaModule, Vector, _level_columns, _sector_kets, act,
-                    action_rows, vector_to_json)
+                    lowering_rows, vector_to_json)
 
 ODD_SECTORS: tuple[Degree, ...] = ((0, 1), (1, 0))
 EVEN_SECTORS: tuple[Degree, ...] = ((0, 0), (1, 1))
@@ -56,24 +57,29 @@ def detect_singular_orders(module: VermaModule) -> list[int]:
     (Mr) or (r + 2M)^2 = lambda (MrLambda).  Solved in closed form: M = -r/2
     for Mr, and M = (+-sqrt(lambda) - r)/2 for MrLambda, where the square
     root is rational only when the numerator and the denominator of lambda
-    are both perfect squares.
+    are both perfect squares.  Cached per module; a new list per call.
     """
+    return list(_singular_orders(module))
+
+
+@lru_cache(maxsize=1024)
+def _singular_orders(module: VermaModule) -> tuple[int, ...]:
     if module.kind == "Mr":
         roots = [Fraction(0)]
     else:
         lam = module.lam
         if lam < 0:
-            return []
+            return ()
         num, den = isqrt(lam.numerator), isqrt(lam.denominator)
         if num * num != lam.numerator or den * den != lam.denominator:
-            return []
+            return ()
         roots = [Fraction(-num, den), Fraction(num, den)]
     out = []
     for root in roots:
         two_m = root - module.r
         if two_m >= 0 and two_m.denominator == 1 and two_m.numerator % 2 == 0:
             out.append(two_m.numerator // 2)
-    return out
+    return tuple(out)
 
 
 # where each closed form of order M lives, stated once: level (2M+1) * multiple,
@@ -195,28 +201,27 @@ def lowering_kernel(module: VermaModule, level: int, sector: Degree,
     columns `_level_columns` gives each level; `find_singular` passes {} for
     W = 0.  The kets of the sector off W's pivots, the keys of its piece,
     span a complement of W.  Each gives one sparse integer row: its am and
-    atm images, scaled by den(r) * den(lambda), read by `action_rows` off
-    the action table on the columns of level-1.  am and atm take the sector to the
-    two sectors of level-1, whose kets interleave in canonical order, so a
-    row is the merge of two disjoint halves and stays banded near the ket's
-    own place.  W's echelon rows at level-1, as they are stored, are the one
-    ready piece of `linalg.sparse_echelon`: the kernel is zero exactly when
-    every ket's row takes a new leading column there.  Otherwise a second
+    atm images on the columns of level-1, times 2qv for r = p/q and lambda =
+    u/v, read by `verma.lowering_rows` off the action table in one pass.  am
+    and atm take the sector to the two sectors of level-1, whose kets
+    interleave in canonical order, so a row is the union of two disjoint
+    halves and stays banded near the ket's own place.  W's echelon rows at
+    level-1, as they are stored, are the one ready piece of
+    `linalg.sparse_echelon`: the kernel is zero exactly when every ket's
+    row takes a new leading column there.  Otherwise a second
     pass tags each row with a unit entry on column width + i, right of every
     column of level-1 (width is its number of kets); the remainders that
     lead on a tag column are zero on the map, and their tag parts are the
     kernel in echelon form (W's rows are independent, so none is lost).
     Returns the complement kets and the RREF basis of the kernel on them.
     """
-    scale = module.r.denominator * (module.lam.denominator if module.lam is not None else 1)
     pivots = w.get(level, {})
     columns = _level_columns(module.kind, level)
     kets = [ket for ket in _sector_kets(module.kind, level, sector)
             if columns[ket] not in pivots]
     js = [columns[ket] for ket in kets]
     width = len(_level_columns(module.kind, level - 1))
-    rows = [{**am, **atm} for am, atm in zip(action_rows(module, "am", level, js, scale),
-                                             action_rows(module, "atm", level, js, scale))]
+    rows = lowering_rows(module, level, js)
     below = w.get(level - 1, {})
     if len(linalg.sparse_echelon(rows, below)) == len(kets):
         return kets, []

@@ -29,7 +29,7 @@ from . import linalg
 from .singular_solver import (closed_form, detect_singular_orders, lowering_kernel,
                               sectors_for_level)
 from .verma import (ConsistencyError, VermaModule, Vector, _action_table, _level_columns,
-                    _numerators)
+                    _numerators, lowering_rows)
 
 MAX_LEVEL = 200  # highest level a table, a sweep or a classification may reach
 
@@ -80,8 +80,9 @@ def build_submodule(module: VermaModule, max_level: int) -> Submodule:
     coefficients, independent of r and lambda: each raises by its matrix in
     `verma._action_table`, the one action table of every module of the kind,
     so once each seed's denominators are cleared every row stays an integer
-    vector.  Raises ConsistencyError if two ap images lead on one column, or
-    one is zero.
+    vector.  Each seed is checked first: its row times `verma.lowering_rows`
+    must be zero, that is am and atm kill it.  Raises ConsistencyError if
+    one does not, if two ap images lead on one column, or if one is zero.
     """
     seeds: dict[int, list[Vector]] = {}
     for M in detect_singular_orders(module):
@@ -93,6 +94,13 @@ def build_submodule(module: VermaModule, max_level: int) -> Submodule:
         columns = _level_columns(module.kind, n)
         x = chain[n] = [{columns[ket]: c for ket, c in _numerators(v.terms)[1]}
                         for v in seeds.get(n, ())]
+        for seed in x:
+            image: dict[int, int] = {}
+            for c, row in zip(seed.values(), lowering_rows(module, n, seed)):
+                for t, a in row.items():
+                    image[t] = image.get(t, 0) + c * a
+            if any(image.values()):
+                raise ConsistencyError(f"am or atm does not kill a seed at level {n}")
         x += _raised(module, "Ltp", chain.get(n - 2, ()), n - 2)
         ready: linalg.Piece = {}
         for row in _raised(module, "ap", pieces.get(n - 1, {}).values(), n - 1):

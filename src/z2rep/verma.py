@@ -18,9 +18,9 @@ am, atp and atm are written by their explicit formulas (`_odd_rows`).  Each
 even generator X is one bracket [[g1, g2]] = c X of two odd ones in the
 structure table and acts as that graded commutator over c (so Lp =
 -atp^2/2, Lm = am^2/2): it is composed from the odd matrices a level at a
-time (`_composed`).  `act`, `action_rows` and `representation_residual`
-evaluate the table with one module's integer weights from `_weights`,
-summing integer numerators over one common denominator.
+time (`_composed`).  `act`, `lowering_rows` and `representation_residual`
+evaluate the table with one module's integer weights from `_weights`: the
+first and last sum integer numerators over one common denominator.
 `representation_residual`, vanishing on every generator pair, certifies that
 the four formulas define a representation; it composes two generators
 through `_apply` and is integer throughout, so a zero residual builds no
@@ -311,13 +311,13 @@ def _composed(kind: str, gen: str, n: int) -> _Rows:
     return tuple(rows)
 
 
-def _weights(module: VermaModule, scale: int = 1) -> tuple[int, int, int, int]:
-    """(w1, wr, wl, den) with scale * (c1 + cr*r + cl*lambda) / 2 equal to
+def _weights(module: VermaModule) -> tuple[int, int, int, int]:
+    """(w1, wr, wl, den) with (c1 + cr*r + cl*lambda) / 2 equal to
     (c1*w1 + cr*wr + cl*wl) / den, in integers: for r = p/q and lambda = u/v,
-    den = 2qv and the weights of 1, r and lambda are scale times qv, pv, qu."""
+    den = 2qv and the weights of 1, r and lambda are qv, pv and qu."""
     lam = module.lam if module.lam is not None else Fraction(0)
     p, q, u, v = module.r.numerator, module.r.denominator, lam.numerator, lam.denominator
-    return q * v * scale, p * v * scale, q * u * scale, 2 * q * v
+    return q * v, p * v, q * u, 2 * q * v
 
 
 def _numerators(terms: dict) -> tuple[int, list]:
@@ -393,25 +393,24 @@ def act(gen: str, vec: Vector) -> Vector:
     return _act(vec, 1, [(gen, 1)])
 
 
-def action_rows(module: VermaModule, gen: str, n: int, js,
-                scale: int = 1) -> list[dict[int, int]]:
-    """Rows js of gen's matrix on level n, read off `_action_table` in
-    integers: for each column j of js, the image of the j-th ket of level n
-    as a dict from the column of each target ket on its level to scale times
-    its coefficient.  `scale` must clear every denominator of the
-    coefficients.
+def lowering_rows(module: VermaModule, n: int, js) -> list[dict[int, int]]:
+    """The lowering pair (am, atm) on the kets js of level n, as integer rows.
+
+    For each column j of js, one pass over the j-th rows of am's and atm's
+    matrices in `_action_table` gives one row: the am and atm images of the
+    j-th ket of level n, on the columns of level n-1, each coefficient times
+    2qv for r = p/q and lambda = u/v, that is c1*qv + cr*pv + cl*qu.  A ket
+    lies in one sector, so its two images lie in the two sectors of level
+    n-1, on disjoint columns.  Nothing is divided: one common factor changes
+    no kernel, rank or pivot.
     """
-    w1, wr, wl, den = _weights(module, scale)
-    rows = _action_table(module.kind, gen, n)
+    w1, wr, wl, _ = _weights(module)
+    am, atm = _action_table(module.kind, "am", n), _action_table(module.kind, "atm", n)
     out = []
     for j in js:
         row = {}
-        for t, c1, cr, cl in rows[j]:
-            scaled = c1 * w1 + cr * wr + cl * wl
-            c, rem = divmod(scaled, den)
-            if rem:
-                raise ValueError(f"scale {scale} leaves {gen} coefficient "
-                                 f"{Fraction(scaled, den)}")
+        for t, c1, cr, cl in am[j] + atm[j]:
+            c = c1 * w1 + cr * wr + cl * wl
             if c:
                 row[t] = c
         out.append(row)

@@ -26,7 +26,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from z2rep.graded_algebra import Degree
+from z2rep.graded_algebra import DEGREE, Degree, Element
 from z2rep.linalg import Piece, _int_row, _primitive, echelon_to_rref
 from z2rep.singular_solver import sectors_for_level
 from z2rep.graded_algebra import SIGN, STRUCTURE_TABLE
@@ -245,6 +245,13 @@ def sample_rationals(count: int, seed: int, lo: int = -50, hi: int = 50,
         if predicate is None or predicate(x):
             out.append(x)
     return out
+
+
+def homogeneous_degree(elem: Element) -> Degree | None:
+    """The common degree of all terms of an algebra element, or None if
+    mixed or zero."""
+    degs = {DEGREE[g] for g in elem.terms}
+    return degs.pop() if len(degs) == 1 else None
 
 
 def zero_vector(module: VermaModule) -> Vector:

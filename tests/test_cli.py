@@ -10,6 +10,7 @@ from z2rep import singular_solver, submodule_quotient
 from z2rep.cli import load_run_config, main, parse_mutation
 from z2rep.graded_algebra import Element
 from z2rep.rationals import parse_rational
+from z2rep.verma import Vector
 
 
 def run_cli(capsys, *argv):
@@ -438,6 +439,27 @@ def test_failed_quotient_check_exits_1(monkeypatch, capsys):
                              "--lambda", "9")
     assert code == 1 and out == ""
     assert "unexpected singular vector" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--kind", "mr", "--r=-6"),
+    ("classify", "--kind", "mrl", "--r", "1/3", "--lambda", "169/9"),
+    ("dims", "--kind", "mr", "--r=-6", "--max-level", "20"),
+    ("dims", "--kind", "mrl", "--r", "1/3", "--lambda", "169/9", "--max-level", "20"),
+])
+def test_corrupted_closed_form_exits_1(argv, monkeypatch, capsys):
+    # one coefficient of each seed doubled: am and atm no longer kill it
+    right = submodule_quotient.closed_form
+
+    def corrupted(module, which, M):
+        vec = right(module, which, M)
+        ket, c = vec.sorted_items()[0]
+        return Vector(module, {**vec.terms, ket: 2 * c})
+
+    monkeypatch.setattr(submodule_quotient, "closed_form", corrupted)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "does not kill a seed" in err
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -319,6 +319,15 @@ def test_chi11_inside_submodule_span():
         assert in_w(w, chi11, level)
 
 
+def test_detect_singular_orders_returns_a_new_list():
+    module = mrl(-3, 1)
+    orders = detect_singular_orders(module)
+    orders[0] = 0
+    orders.append(7)
+    assert detect_singular_orders(module) == [1, 2]
+    assert detect_singular_orders(mrl(-3, 1)) == [1, 2]
+
+
 def test_detect_singular_orders_beyond_old_scan():
     # the orders are solved in closed form, not scanned up to a cap
     assert detect_singular_orders(mr(-66)) == [33]

@@ -13,7 +13,7 @@ from z2rep.singular_solver import find_singular, sectors_for_level
 from z2rep.submodule_quotient import classify_module
 from reference import act_word, ket_action, zero_vector
 from z2rep.verma import (ConsistencyError, Ket, VermaModule, Vector, act, act_element,
-                         action_rows, enumerate_level, representation_residual,
+                         enumerate_level, lowering_rows, representation_residual,
                          vector_to_json)
 from z2rep.graded_algebra import Element, mutated_table
 
@@ -217,30 +217,39 @@ def test_zero_vector():
     assert (MR.basis_vector(0, 1, 0) - MR.basis_vector(0, 1, 0)).is_zero()
 
 
-@pytest.mark.parametrize("module, gen, good_scale, bad_scale", [
-    (VermaModule("Mr", Fraction(1, 3)), "am", 3, 1),
-    (VermaModule("Mr", Fraction(-5, 4)), "atm", 4, 1),
-    (VermaModule("MrLambda", Fraction(2, 7), Fraction(-5, 3)), "am", 21, 7),
-    (VermaModule("MrLambda", Fraction(2, 7), Fraction(-5, 3)), "atm", 21, 3),
-    # den(r) and den(lambda) share a factor: the coefficients are 2r = 5/3
-    # and 2*lambda = -7/2 plus integers, so 24 = den(r) * den(lambda) and
-    # their lcm 6 clear them, and 3 and 2 do not
-    (VermaModule("MrLambda", Fraction(5, 6), Fraction(-7, 4)), "am", 24, 3),
-    (VermaModule("MrLambda", Fraction(5, 6), Fraction(-7, 4)), "atm", 6, 2),
-    (VermaModule("MrLambda", Fraction(-3), Fraction(-2)), "am", 1, None),
-    (VermaModule("MrLambda", Fraction(-3), Fraction(-2)), "atm", 1, None),
-])
-def test_action_rows_scale_clears_denominators(module, gen, good_scale, bad_scale):
-    kets = list(enumerate_level(module, 5))
-    targets = list(enumerate_level(module, 4))
-    rows = action_rows(module, gen, 5, range(len(kets)), good_scale)
-    for ket, row in zip(kets, rows):
-        image = act(gen, Vector(module, {ket: 1}))
-        assert all(type(c) is int for c in row.values())
-        assert {targets[t]: Fraction(c, good_scale) for t, c in row.items()} == image.terms
-    if bad_scale is not None:
-        with pytest.raises(ValueError, match=f"scale {bad_scale} leaves {gen}"):
-            action_rows(module, gen, 5, range(len(kets)), bad_scale)
+# 1023-bit denominators, just under the bound the command line sets
+_D = int("7" * 308)
+
+
+@pytest.mark.parametrize("module", [
+    VermaModule("Mr", Fraction(1, 3)),
+    VermaModule("Mr", Fraction(-7, 5)),
+    VermaModule("MrLambda", Fraction(5, 6), Fraction(-7, 4)),
+    VermaModule("MrLambda", Fraction(1, _D), Fraction(3, _D + 2)),
+], ids=["Mr-1/3", "Mr--7/5", "MrLambda-5/6--7/4", "MrLambda-1023-bit"])
+def test_lowering_rows_are_the_lowering_pair_times_2qv(module):
+    # row j is the am image plus the atm image of the j-th ket, on disjoint
+    # columns of the level below, each coefficient times 2qv for r = p/q and
+    # lambda = u/v, in integers
+    lam = module.lam if module.lam is not None else Fraction(0)
+    scale = 2 * module.r.denominator * lam.denominator
+    for n in range(1, 31):
+        kets = enumerate_level(module, n)
+        column = {ket: t for t, ket in enumerate(enumerate_level(module, n - 1))}
+        rows = lowering_rows(module, n, range(len(kets)))
+        assert len(rows) == len(kets)
+        for ket, row in zip(kets, rows):
+            want = {}
+            for gen in ("am", "atm"):
+                for target, (c1, cr, cl) in ket_action(module.kind, gen, ket).items():
+                    assert column[target] not in want
+                    c = scale * (c1 + cr * module.r + cl * lam) / 2
+                    if c:
+                        want[column[target]] = c
+            assert all(type(c) is int for c in row.values())
+            assert row == want
+        js = list(range(len(kets)))[::-3]
+        assert lowering_rows(module, n, js) == [rows[j] for j in js]
 
 
 def test_lowering_assembly_reads_one_table_per_kind():
