@@ -117,6 +117,7 @@ def parse_mutation(spec: str) -> tuple[tuple[str, str], graded_algebra.Element]:
 
 
 def _csv_text(fieldnames: list[str], rows: Iterable[dict]) -> str:
+    """The CSV of rows; a column a row lacks, or holds None in, is an empty cell."""
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fieldnames, restval="",
                             extrasaction="ignore", lineterminator="\n")
@@ -124,11 +125,6 @@ def _csv_text(fieldnames: list[str], rows: Iterable[dict]) -> str:
     for row in rows:
         writer.writerow(row)
     return buf.getvalue()
-
-
-def _module_fields(module: VermaModule) -> dict:
-    """The kind, r and lambda columns that lead every per-module CSV row."""
-    return {"lambda": "", **module.to_json()}
 
 
 def _emit(args, json_payload, csv_fieldnames, csv_rows: Iterable[dict]) -> None:
@@ -180,14 +176,14 @@ def cmd_bracket_table(args) -> int:
 def _singular_row(report, payload: dict) -> dict:
     rtilde = payload.get("rtilde", {})
     return {
-        **_module_fields(report.module),
+        **report.module.to_json(),
         "level": report.level,
         "sector": f"({report.sector[0]},{report.sector[1]})",
         "nullspace_dim": len(report.nullspace),
         "vectors": " | ".join(map(repr, report.nullspace)),
         "closed_form_match": report.closed_form_match,
-        "rtilde_computed": rtilde.get("computed") or "",
-        "rtilde_stated": rtilde.get("stated", ""),
+        "rtilde_computed": rtilde.get("computed"),
+        "rtilde_stated": rtilde.get("stated"),
     }
 
 
@@ -212,8 +208,7 @@ def cmd_classify(args) -> int:
     module = _module_from_args(args)
     verdict = submodule_quotient.classify_module(module, max_level=args.max_level)
     payload = verdict.to_json()
-    summary = {"lambda": "", "M": "", **payload}
-    rows = ({**summary, **row} for row in verdict.per_level)
+    rows = ({**payload, **row} for row in verdict.per_level)
     _emit(args, payload,
           ["kind", "r", "lambda", "case", "M", "dimension", "level", "verma_dim",
            "submodule_dim", "quotient_dim"], rows)
@@ -225,7 +220,7 @@ def cmd_dims(args) -> int:
     table = submodule_quotient.quotient_dims(module, args.max_level)
     _emit(args, table,
           ["kind", "r", "lambda", "level", "verma_dim", "submodule_dim",
-           "quotient_dim"], ({**_module_fields(module), **row} for row in table))
+           "quotient_dim"], ({**module.to_json(), **row} for row in table))
     return 0
 
 
@@ -236,7 +231,7 @@ def cmd_cartan(args) -> int:
     report = cartan_modules.classify(hm)
     payload = report.to_json()
     rows = [{"n": args.n, "r": payload["r"], "kind": piece.kind, "dim": piece.dim,
-             "piece_r": entry["r"], "lambda": entry.get("lambda", "")}
+             "piece_r": entry["r"], "lambda": entry.get("lambda")}
             for piece, entry in zip(report.constituents, payload["constituents"])]
     _emit(args, payload, ["n", "r", "kind", "dim", "piece_r", "lambda"], rows)
     return 0

@@ -2,11 +2,11 @@
 
 A singular vector is a nonzero weight vector of positive level annihilated by
 both lowering generators am and atm (annihilation by Lm and Ltm follows).
-`detect_singular_orders` is the one place the existence condition is solved:
-the orders M with r + 2M = 0 (Mr) or (r + 2M)^2 = lambda (MrLambda).  The
-closed forms, the predictions of `find_singular` and the submodule W all read
-their orders from it.  Two routes run in the engine, and `find_singular`
-compares them at every level and sector:
+The existence condition, r + 2M = 0 (Mr) or (r + 2M)^2 = lambda (MrLambda),
+is solved once per module (`VermaModule._orders`) and read through
+`detect_singular_orders`: the closed forms, the predictions of `find_singular`
+and the submodule W all read their orders from it.  Two routes run in the
+engine, and `find_singular` compares them at every level and sector:
 
 * `find_singular` — the null space of (am, atm) on one degree sector of one
   level, by fraction-free elimination in `lowering_kernel`, which the
@@ -29,8 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, isqrt
+from math import comb
 
 from . import linalg
 from .graded_algebra import Degree
@@ -57,29 +56,9 @@ def detect_singular_orders(module: VermaModule) -> list[int]:
     (Mr) or (r + 2M)^2 = lambda (MrLambda).  Solved in closed form: M = -r/2
     for Mr, and M = (+-sqrt(lambda) - r)/2 for MrLambda, where the square
     root is rational only when the numerator and the denominator of lambda
-    are both perfect squares.  Cached per module; a new list per call.
+    are both perfect squares.  Kept on the module; a new list per call.
     """
-    return list(_singular_orders(module))
-
-
-@lru_cache(maxsize=1024)
-def _singular_orders(module: VermaModule) -> tuple[int, ...]:
-    if module.kind == "Mr":
-        roots = [Fraction(0)]
-    else:
-        lam = module.lam
-        if lam < 0:
-            return ()
-        num, den = isqrt(lam.numerator), isqrt(lam.denominator)
-        if num * num != lam.numerator or den * den != lam.denominator:
-            return ()
-        roots = [Fraction(-num, den), Fraction(num, den)]
-    out = []
-    for root in roots:
-        two_m = root - module.r
-        if two_m >= 0 and two_m.denominator == 1 and two_m.numerator % 2 == 0:
-            out.append(two_m.numerator // 2)
-    return tuple(out)
+    return list(module._orders)
 
 
 # where each closed form of order M lives, stated once: level (2M+1) * multiple,

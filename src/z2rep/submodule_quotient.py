@@ -2,7 +2,7 @@
 
 W is generated from the two singular vectors chi01, chi10 at level 2M+1 by
 the raising generators, for every order M that
-`singular_solver.detect_singular_orders` solves (re-exported here).
+`singular_solver.detect_singular_orders` gives (re-exported here).
 `build_submodule` computes W once, as the bare span of the raising images
 (level by level, integer echelon rows on the columns of each level), which
 never assumes the dimension formula: the ap images of the level below, and

@@ -19,8 +19,9 @@ even generator X is one bracket [[g1, g2]] = c X of two odd ones in the
 structure table and acts as that graded commutator over c (so Lp =
 -atp^2/2, Lm = am^2/2): it is composed from the odd matrices a level at a
 time (`_composed`).  `act`, `lowering_rows` and `representation_residual`
-evaluate the table with one module's integer weights from `_weights`: the
-first and last sum integer numerators over one common denominator.
+evaluate the table with a module's integer weights, which it computes once,
+like its singular orders (`VermaModule._weights`, `_orders`); the first and
+last sum integer numerators over one common denominator.
 `representation_residual`, vanishing on every generator pair, certifies that
 the four formulas define a representation; it composes two generators
 through `_apply` and is integer throughout, so a zero residual builds no
@@ -31,8 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
+from functools import cached_property, lru_cache
+from math import isqrt, lcm
 from typing import NamedTuple
 
 from .graded_algebra import AD_WEIGHT, SIGN, Element, STRUCTURE_TABLE
@@ -67,6 +68,35 @@ class VermaModule:
             object.__setattr__(self, "lam", Fraction(self.lam))
         elif self.lam is not None:
             raise ValueError("Mr takes no lambda")
+
+    @cached_property
+    def _orders(self) -> tuple[int, ...]:
+        """The orders of `singular_solver.detect_singular_orders`, as a tuple."""
+        if self.kind == "Mr":
+            roots = [Fraction(0)]
+        else:
+            lam = self.lam
+            if lam < 0:
+                return ()
+            num, den = isqrt(lam.numerator), isqrt(lam.denominator)
+            if num * num != lam.numerator or den * den != lam.denominator:
+                return ()
+            roots = [Fraction(-num, den), Fraction(num, den)]
+        out = []
+        for root in roots:
+            two_m = root - self.r
+            if two_m >= 0 and two_m.denominator == 1 and two_m.numerator % 2 == 0:
+                out.append(two_m.numerator // 2)
+        return tuple(out)
+
+    @cached_property
+    def _weights(self) -> tuple[int, int, int, int]:
+        """(w1, wr, wl, den) with (c1 + cr*r + cl*lambda) / 2 equal to
+        (c1*w1 + cr*wr + cl*wl) / den, in integers: for r = p/q and lambda =
+        u/v, den = 2qv and the weights of 1, r and lambda are qv, pv and qu."""
+        lam = self.lam if self.lam is not None else Fraction(0)
+        p, q, u, v = self.r.numerator, self.r.denominator, lam.numerator, lam.denominator
+        return q * v, p * v, q * u, 2 * q * v
 
     def to_json(self) -> dict:
         """The kind, r and (MrLambda only) lambda that head every module's output."""
@@ -311,15 +341,6 @@ def _composed(kind: str, gen: str, n: int) -> _Rows:
     return tuple(rows)
 
 
-def _weights(module: VermaModule) -> tuple[int, int, int, int]:
-    """(w1, wr, wl, den) with (c1 + cr*r + cl*lambda) / 2 equal to
-    (c1*w1 + cr*wr + cl*wl) / den, in integers: for r = p/q and lambda = u/v,
-    den = 2qv and the weights of 1, r and lambda are qv, pv and qu."""
-    lam = module.lam if module.lam is not None else Fraction(0)
-    p, q, u, v = module.r.numerator, module.r.denominator, lam.numerator, lam.denominator
-    return q * v, p * v, q * u, 2 * q * v
-
-
 def _numerators(terms: dict) -> tuple[int, list]:
     """(d, [(key, d * c), ...]) for the coefficients c of terms, where d is the
     lcm of their denominators (1 when there are none)."""
@@ -356,8 +377,8 @@ def _vector(module: VermaModule, out: dict[int, dict[int, int]], den: int) -> Ve
 def _apply(out: dict[int, int], rows: _Rows, nums, w1: int, wr: int, wl: int) -> dict[int, int]:
     """Add rows, one generator's matrix on one level, applied to the pairs
     (column, num) of nums, to out, as integer numerators over the den of
-    `_weights`.  (w1, wr, wl) are its weights, times one integer factor that
-    the caller folds in."""
+    `module._weights`, whose (w1, wr, wl) the caller passes, times one
+    integer factor it folds in."""
     for j, num in nums:
         for t, c1, cr, cl in rows[j]:
             out[t] = out.get(t, 0) + num * (c1 * w1 + cr * wr + cl * wl)
@@ -382,7 +403,7 @@ def _act(vec: Vector, e: int, scaled: list[tuple[str, int]]) -> Vector:
     the integer numerators over e * d * den one level at a time, and one
     Fraction is built per nonzero target ket."""
     module = vec.module
-    w1, wr, wl, den = _weights(module)
+    w1, wr, wl, den = module._weights
     d, cols = _columns(module.kind, vec.terms)
     out = _act_sum({}, module.kind, scaled, cols, w1, wr, wl)
     return _vector(module, out, e * d * den)
@@ -404,7 +425,7 @@ def lowering_rows(module: VermaModule, n: int, js) -> list[dict[int, int]]:
     n-1, on disjoint columns.  Nothing is divided: one common factor changes
     no kernel, rank or pivot.
     """
-    w1, wr, wl, _ = _weights(module)
+    w1, wr, wl, _ = module._weights
     am, atm = _action_table(module.kind, "am", n), _action_table(module.kind, "atm", n)
     out = []
     for j in js:
@@ -434,11 +455,11 @@ def representation_residual(g1: str, g2: str, vec: Vector) -> Vector:
 
     Summed in integers throughout, one level of v at a time: v is put over
     d, the lcm of its denominators, the bracket over e, the lcm of its, and
-    all three parts over e * d * den**2, den from `_weights`.  A Fraction is
-    built only for a nonzero residual term, so a representation builds none.
+    all three parts over e * d * den**2, den from `module._weights`.  A
+    Fraction is built only for a nonzero residual term: a representation none.
     """
     module, kind = vec.module, vec.module.kind
-    w1, wr, wl, den = _weights(module)
+    w1, wr, wl, den = module._weights
     d, cols = _columns(kind, vec.terms)
     e, scaled = _numerators(STRUCTURE_TABLE[(g1, g2)].terms)
     out = _act_sum({}, kind, scaled, cols, -den * w1, -den * wr, -den * wl)

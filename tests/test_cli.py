@@ -10,7 +10,7 @@ from z2rep import singular_solver, submodule_quotient
 from z2rep.cli import load_run_config, main, parse_mutation
 from z2rep.graded_algebra import Element
 from z2rep.rationals import parse_rational
-from z2rep.verma import Vector
+from z2rep.verma import Vector, VermaModule
 
 
 def run_cli(capsys, *argv):
@@ -493,3 +493,12 @@ def test_classify_order_above_32(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["case"] == "ii" and data["M"] == 33 and data["dimension"] == 4489
+
+
+def test_case_ii_at_the_max_level_edge(capsys):
+    # case ii at M needs level 4M + 2: M = 49 reaches MAX_LEVEL - 2, M = 50 overshoots it
+    verdict = submodule_quotient.classify_module(VermaModule("Mr", Fraction(-98)))
+    assert (verdict.case, verdict.M, verdict.dimension) == ("ii", 49, 99 ** 2)
+    assert [row["level"] for row in verdict.per_level] == list(range(199))
+    code, out, err = run_cli(capsys, "classify", "--kind", "mr", "--r", "-100")
+    assert code == 2 and out == "" and "level 202" in err
