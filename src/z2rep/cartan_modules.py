@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from . import linalg
 from .rationals import format_rational
@@ -88,9 +87,8 @@ def build_h_module(n: int, r, c) -> HModule:
     if len(c) != expected_c_length(n):
         raise ValueError(
             f"need {expected_c_length(n)} closing coefficients for n={n}, got {len(c)}")
-    den = lcm(*(x.denominator for x in c))  # the cleared leading coefficient
-    bits = max([den.bit_length()] + [(x.numerator * (den // x.denominator)).bit_length()
-                                     for x in c])
+    # q's coefficients are -c and 1 (`t_polynomial`); the signs change no bit length
+    bits = max(x.bit_length() for x in linalg._int_row((*c, 1))[0])
     if bits > MAX_BITS:
         raise ValueError(f"closing polynomial has a coefficient of {bits} bits once "
                          f"its denominators are cleared, above the bound {MAX_BITS}")

@@ -176,22 +176,23 @@ def lowering_kernel(module: VermaModule, level: int, sector: Degree,
                     w: dict[int, linalg.Piece]) -> tuple[list[Ket], list[list[Fraction]]]:
     """Kernel of the lowering pair (am, atm) on one sector of V_level / W_level.
 
-    `w` holds a submodule W per level, as `Submodule.pieces` does, on the
-    columns `_level_columns` gives each level; `find_singular` passes {} for
-    W = 0.  The kets of the sector off W's pivots, the keys of its piece,
-    span a complement of W.  Each gives one sparse integer row: its am and
-    atm images on the columns of level-1, times 2qv for r = p/q and lambda =
-    u/v, read by `verma.lowering_rows` off the action table in one pass.  am
-    and atm take the sector to the two sectors of level-1, whose kets
-    interleave in canonical order, so a row is the union of two disjoint
-    halves and stays banded near the ket's own place.  W's echelon rows at
-    level-1, as they are stored, are the one ready piece of
-    `linalg.sparse_echelon`: the kernel is zero exactly when every ket's
-    row takes a new leading column there.  Otherwise a second
-    pass tags each row with a unit entry on column width + i, right of every
-    column of level-1 (width is its number of kets); the remainders that
-    lead on a tag column are zero on the map, and their tag parts are the
-    kernel in echelon form (W's rows are independent, so none is lost).
+    `w` holds a submodule W per level, as
+    `submodule_quotient.build_submodule` returns it, on the columns
+    `_level_columns` gives each level; `find_singular` passes {} for W = 0.
+    The kets of the sector off W's pivots, the keys of its piece, span a
+    complement of W.  Each gives one sparse integer row: its am and atm images
+    on the columns of level-1, times 2qv for r = p/q and lambda = u/v, read
+    by `verma.lowering_rows` off the action table in one pass.  am and atm
+    take the sector to the two sectors of level-1, whose kets interleave in
+    canonical order, so a row is the union of two disjoint halves and stays
+    banded near the ket's own place.  W's echelon rows at level-1, as they
+    are stored, are the one ready piece of `linalg.sparse_echelon`: the
+    kernel is zero exactly when every ket's row takes a new leading column
+    there.  Otherwise a second pass tags each row with a unit entry on column
+    width + i, right of every column of level-1 (width is its number of
+    kets); the remainders that lead on a tag column are zero on the map, and
+    their tag parts are the kernel in echelon form (W's rows are independent,
+    so none is lost).
     Returns the complement kets and the RREF basis of the kernel on them.
     """
     pivots = w.get(level, {})

@@ -7,8 +7,9 @@ the raising generators, for every order M that
 (level by level, integer echelon rows on the columns of each level), which
 never assumes the dimension formula: the ap images of the level below, and
 the atp images and Ltp chain of the seeds, which together span every PBW
-word of the raising part applied to them.  `Submodule.pieces` is the one
-representation of W that every verdict reads.  The tests hold two
+word of the raising part applied to them.  The dict of integer echelon
+pieces it returns, one per level, is the one representation of W that every
+verdict reads; `verma._raised` raises its rows.  The tests hold two
 independent routes in tests/paper_routes.py: the explicit spanning family of
 the level-(2M+1+q) slice, words in ap and atp applied to the two singular
 vectors, and the decomposition of chi11 over raising words applied to them.
@@ -22,14 +23,12 @@ per-level dimension 4M+2 forever.
 
 from __future__ import annotations
 
-from collections.abc import Collection
 from dataclasses import dataclass
 
 from . import linalg
 from .singular_solver import (closed_form, detect_singular_orders, lowering_kernel,
                               sectors_for_level)
-from .verma import (ConsistencyError, VermaModule, Vector, _action_table, _level_columns,
-                    _numerators, lowering_rows)
+from .verma import ConsistencyError, VermaModule, Vector, _columns, _raised, lowering_rows
 
 MAX_LEVEL = 200  # highest level a table, a sweep or a classification may reach
 
@@ -42,27 +41,17 @@ def verma_dim(module: VermaModule, n: int) -> int:
     return n + 1 if module.kind == "Mr" else 2 * (n + 1)
 
 
-@dataclass
-class Submodule:
-    """W level by level.
+def build_submodule(module: VermaModule, max_level: int) -> dict[int, linalg.Piece]:
+    """W = raising words applied to all singular pairs, up to max_level.
 
-    pieces[n] holds integer echelon rows spanning W_n, each a dict from the
-    column that `verma._level_columns` gives a ket of level n to its nonzero
-    entry, keyed on its leading column (a `linalg.Piece`).  Each row lies in
-    one Z2xZ2 sector, and the sectors of a level sit on disjoint columns.
+    Returns W as {n: piece}: the piece of level n holds integer echelon rows
+    spanning W_n, each a dict from the column that `verma._level_columns`
+    gives a ket of level n to its nonzero entry, keyed on its leading column
+    (a `linalg.Piece`), so dim W_n is the size of the piece.  Each row lies
+    in one Z2xZ2 sector, and the sectors of a level sit on disjoint columns.
     Levels below the lowest singular level are absent: W is zero there.  The
     row dicts are shared with the eliminations that built and read them, and
     none is ever updated.
-    """
-    module: VermaModule
-    pieces: dict[int, linalg.Piece]
-
-    def dim(self, n: int) -> int:
-        return len(self.pieces.get(n, {}))
-
-
-def build_submodule(module: VermaModule, max_level: int) -> Submodule:
-    """W = raising words applied to all singular pairs, up to max_level.
 
     The structure table gives [[ap, Ltp]] = [[atp, Ltp]] = 0 (ap and atp
     anticommute with Ltp), ap atp - atp ap = -4 Ltp and atp^2 = -ap^2 = -2 Lp,
@@ -77,12 +66,13 @@ def build_submodule(module: VermaModule, max_level: int) -> Submodule:
     X_n are reduced against them, and each that takes a new leading column
     is a row of W_n.  The seeds and the raising generators are homogeneous,
     so no reduction mixes two sectors.  ap, atp and Ltp have integer
-    coefficients, independent of r and lambda: each raises by its matrix in
-    `verma._action_table`, the one action table of every module of the kind,
-    so once each seed's denominators are cleared every row stays an integer
-    vector.  Each seed is checked first: its row times `verma.lowering_rows`
-    must be zero, that is am and atm kill it.  Raises ConsistencyError if
-    one does not, if two ap images lead on one column, or if one is zero.
+    coefficients, independent of r and lambda: `verma._raised` applies each
+    by its matrix in the one action table of every module of the kind, so
+    once each seed's denominators are cleared, by `verma._columns`, every
+    row stays an integer vector.  Each seed is checked first: its row times
+    `verma.lowering_rows` must be zero, that is am and atm kill it.  Raises
+    ConsistencyError if one does not, if two ap images lead on one column,
+    or if one is zero.
     """
     seeds: dict[int, list[Vector]] = {}
     for M in detect_singular_orders(module):
@@ -91,9 +81,7 @@ def build_submodule(module: VermaModule, max_level: int) -> Submodule:
     pieces: dict[int, linalg.Piece] = {}
     chain: dict[int, list[dict[int, int]]] = {}  # X per level
     for n in range(min(seeds, default=max_level + 1), max_level + 1):
-        columns = _level_columns(module.kind, n)
-        x = chain[n] = [{columns[ket]: c for ket, c in _numerators(v.terms)[1]}
-                        for v in seeds.get(n, ())]
+        x = chain[n] = [_columns(module.kind, v.terms)[1][n] for v in seeds.get(n, ())]
         for seed in x:
             image: dict[int, int] = {}
             for c, row in zip(seed.values(), lowering_rows(module, n, seed)):
@@ -109,30 +97,13 @@ def build_submodule(module: VermaModule, max_level: int) -> Submodule:
                                        f"on distinct columns")
         rest = x + _raised(module, "atp", chain.get(n - 1, ()), n - 1)
         pieces[n] = {**ready, **linalg.sparse_echelon(rest, ready)}
-    return Submodule(module, pieces)
+    return pieces
 
 
-def _raised(module: VermaModule, gen: str, rows: Collection[dict[int, int]],
-            n: int) -> list[dict[int, int]]:
-    """gen applied to each integer row of level n, as a sparse row on the
-    columns of the level gen raises it to: the rows times gen's doubled, even
-    matrix in `verma._action_table`, each image entry halved exactly."""
-    out = []
-    if rows:
-        images = _action_table(module.kind, gen, n)
-        for row in rows:
-            image: dict[int, int] = {}
-            for s, c in row.items():
-                for t, a, _, _ in images[s]:
-                    image[t] = image.get(t, 0) + c * a
-            out.append({t: x >> 1 for t, x in image.items() if x})
-    return out
-
-
-def _dims_table(w: Submodule, max_level: int) -> list[dict]:
+def _dims_table(module: VermaModule, w: dict[int, linalg.Piece], max_level: int) -> list[dict]:
     rows = []
     for n in range(max_level + 1):
-        total, sub = verma_dim(w.module, n), w.dim(n)
+        total, sub = verma_dim(module, n), len(w.get(n, {}))
         rows.append({"level": n, "verma_dim": total, "submodule_dim": sub,
                      "quotient_dim": total - sub})
     return rows
@@ -143,7 +114,7 @@ def quotient_dims(module: VermaModule, max_level: int) -> list[dict]:
 
     dim W is computed by exact span reduction, never from a formula.
     """
-    return _dims_table(build_submodule(module, max_level), max_level)
+    return _dims_table(module, build_submodule(module, max_level), max_level)
 
 
 @dataclass
@@ -164,7 +135,8 @@ class ClassificationVerdict:
         return out
 
 
-def _quotient_has_no_singular(w: Submodule, n: int) -> bool:
+def _quotient_has_no_singular(module: VermaModule, w: dict[int, linalg.Piece],
+                              n: int) -> bool:
     """Kernel of the lowering pair on the level-n quotient V_n / W_n is zero.
 
     Checked sector by sector, over integers, by `lowering_kernel`: the kets
@@ -174,7 +146,7 @@ def _quotient_has_no_singular(w: Submodule, n: int) -> bool:
     elimination decides a zero kernel; a nonzero one is read off a second,
     tagged pass.
     """
-    return not any(lowering_kernel(w.module, n, sector, w.pieces)[1]
+    return not any(lowering_kernel(module, n, sector, w)[1]
                    for sector in sectors_for_level(n))
 
 
@@ -219,7 +191,7 @@ def classify_module(module: VermaModule,
         raise ValueError(
             f"classification needs level {max_level}, above the bound {MAX_LEVEL}")
     w = build_submodule(module, max_level)
-    per_level = _dims_table(w, max_level)
+    per_level = _dims_table(module, w, max_level)
     # two consecutive empty levels end a quotient for good, since raising
     # weights are at most 2: a table that ends in them is finite
     quots = [row["quotient_dim"] for row in per_level]
@@ -229,6 +201,6 @@ def classify_module(module: VermaModule,
             f"case ii quotient dimension {dimension} != {(2 * M + 1) ** 2}")
     if dimension is not None:
         top = max(row["level"] for row in per_level if row["quotient_dim"])
-        if not all(_quotient_has_no_singular(w, n) for n in range(1, top + 2)):
+        if not all(_quotient_has_no_singular(module, w, n) for n in range(1, top + 2)):
             raise ConsistencyError("quotient contains an unexpected singular vector")
     return ClassificationVerdict(module, case, M, dimension, per_level)

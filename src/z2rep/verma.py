@@ -21,15 +21,18 @@ structure table and acts as that graded commutator over c (so Lp =
 time (`_composed`).  `act`, `lowering_rows` and `representation_residual`
 evaluate the table with a module's integer weights, which it computes once,
 like its singular orders (`VermaModule._weights`, `_orders`); the first and
-last sum integer numerators over one common denominator.
-`representation_residual`, vanishing on every generator pair, certifies that
-the four formulas define a representation; it composes two generators
-through `_apply` and is integer throughout, so a zero residual builds no
-Fraction.
+last sum integer numerators over one common denominator.  `_raised` applies
+the integer ap, atp and Ltp matrices to integer rows, for the span of W in
+`submodule_quotient`.  No other module reads the table, or knows the format
+of its entries and their doubling.  `representation_residual`, vanishing on
+every generator pair, certifies that the four formulas define a
+representation; it composes two generators through `_apply` and is integer
+throughout, so a zero residual builds no Fraction.
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -353,7 +356,7 @@ def _numerators(terms: dict) -> tuple[int, list]:
 def _columns(kind: str, terms: dict[Ket, Fraction]) -> tuple[int, dict[int, dict[int, int]]]:
     """(d, {level: {column: d * c}}) for the terms {ket: c} of a vector, put
     over d as `_numerators` puts them, in one pass (this runs once per
-    residual), each level's `_level_columns` read once."""
+    residual and per seed of W), each level's `_level_columns` read once."""
     d = lcm(*[c.denominator for c in terms.values()])
     out, maps = {}, {}
     for ket, c in terms.items():
@@ -435,6 +438,25 @@ def lowering_rows(module: VermaModule, n: int, js) -> list[dict[int, int]]:
             if c:
                 row[t] = c
         out.append(row)
+    return out
+
+
+def _raised(module: VermaModule, gen: str, rows: Collection[dict[int, int]],
+            n: int) -> list[dict[int, int]]:
+    """gen applied to each integer row of level n, as a sparse row on the
+    columns of the level gen raises it to: the rows times gen's doubled, even
+    matrix in `_action_table`, each image entry halved exactly.  Only for
+    ap, atp and Ltp, whose matrices `_action_table` checks to be integers
+    independent of r and lambda."""
+    out = []
+    if rows:
+        images = _action_table(module.kind, gen, n)
+        for row in rows:
+            image: dict[int, int] = {}
+            for s, c in row.items():
+                for t, a, _, _ in images[s]:
+                    image[t] = image.get(t, 0) + c * a
+            out.append({t: x >> 1 for t, x in image.items() if x})
     return out
 
 

@@ -195,7 +195,7 @@ def test_criterion_08_submodule_dimension_law():
         w = build_submodule(mod, 2 * M + 1 + 8)
         for q in range(9):
             level = 2 * M + 1 + q
-            bfs_dim = w.dim(level)
+            bfs_dim = len(w.get(level, {}))
             if q <= 2 * M:
                 basis = submodule_basis(mod, M, q)  # raises if rank deficient
                 if len(basis) != 2 * (q + 1) or bfs_dim != 2 * (q + 1):
@@ -211,7 +211,7 @@ def test_criterion_08_submodule_dimension_law():
         w = build_submodule(mod, 2 * M + 1 + 8)
         for q in range(9):
             basis = submodule_basis(mod, M, q)
-            bfs_dim = w.dim(2 * M + 1 + q)
+            bfs_dim = len(w.get(2 * M + 1 + q, {}))
             if len(basis) != 2 * (q + 1) or bfs_dim != 2 * (q + 1):
                 problems.append(("MrLambda", M, q))
     report(8, "explicit spanning family has exact rank 2(q+1) and agrees with "

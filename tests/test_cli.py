@@ -434,7 +434,7 @@ def test_unread_flags_are_usage_errors(argv, capsys):
 
 def test_failed_quotient_check_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(submodule_quotient, "_quotient_has_no_singular",
-                        lambda w, n: False)
+                        lambda module, w, n: False)
     code, out, err = run_cli(capsys, "classify", "--kind", "mrl", "--r", "-5",
                              "--lambda", "9")
     assert code == 1 and out == ""

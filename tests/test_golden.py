@@ -7,6 +7,7 @@ and run this file as a script from the repository root:
 and never overwrites a recorded one.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -129,6 +130,17 @@ def test_output_matches_golden(name, fmt, capsys):
 def test_failing_output_matches_golden(name, fmt, capsys):
     expected = (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
     assert run(FAILING[name], fmt, capsys, exit_code=1) == expected
+
+
+@pytest.mark.parametrize("name", sorted(n for n, argv in CASES.items() if argv[0] == "classify"))
+def test_dims_prints_the_table_of_classify(name, capsys):
+    # `dims` up to the last level of a verdict prints its per-level table
+    argv = CASES[name]
+    verdict = json.loads(run(argv, "json", capsys))
+    top = verdict["per_level"][-1]["level"]
+    module_flags = argv[1:argv.index("--max-level")] if "--max-level" in argv else argv[1:]
+    table = run(("dims", *module_flags, "--max-level", str(top)), "json", capsys)
+    assert json.loads(table) == verdict["per_level"]
 
 
 if __name__ == "__main__":

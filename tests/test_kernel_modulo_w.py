@@ -49,7 +49,7 @@ def assert_lowers_into(module, level, sector, kets, kernel, below):
 def test_kernel_modulo_w_at_the_first_level_above_w():
     # W_3 is spanned by the singular pair; the kernel over W_3 at level 4 is W_4
     module = mrl(Fraction(1, 3), Fraction(49, 9))
-    w = build_submodule(module, 4).pieces
+    w = build_submodule(module, 4)
     kets, kernel = lowering_kernel(module, 4, (0, 0), {3: w[3]})
     assert len(kernel) == 2
     assert_lowers_into(module, 4, (0, 0), kets, kernel, w[3])
@@ -61,7 +61,7 @@ def test_kernel_modulo_w_at_the_first_level_above_w():
                          ids=lambda m: f"{m.kind}-r{m.r}-l{m.lam}")
 def test_kernel_modulo_w_lowers_into_w(module):
     # two singular orders: W at the level below holds both pairs' images
-    w = build_submodule(module, table_top(module)).pieces
+    w = build_submodule(module, table_top(module))
     for n in w:
         if n - 1 not in w:
             continue
@@ -79,7 +79,7 @@ J_MODULES = ([mr(-4), mr(-8), mr(-12), mr(-24), mr(Fraction(1, 3))]
 @pytest.mark.parametrize("module", J_MODULES, ids=lambda m: f"{m.kind}-r{m.r}-l{m.lam}")
 def test_maximal_submodule_is_w_sector_by_sector(module):
     top = table_top(module)
-    w = build_submodule(module, top).pieces
+    w = build_submodule(module, top)
     j = {0: {}}
     for n in range(1, top + 1):
         j[n] = {}
@@ -107,4 +107,4 @@ def test_zero_kernel_modulo_w_takes_the_sparse_exit(module, monkeypatch):
         raise AssertionError("a zero kernel reached the kernel read-off")
 
     monkeypatch.setattr(linalg, "echelon_to_rref", refuse)
-    assert all(_quotient_has_no_singular(w, n) for n in range(1, top + 1))
+    assert all(_quotient_has_no_singular(module, w, n) for n in range(1, top + 1))

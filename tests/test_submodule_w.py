@@ -20,10 +20,9 @@ from z2rep import linalg, singular_solver, submodule_quotient, verma
 from z2rep.cli import main
 from z2rep.graded_algebra import SIGN, STRUCTURE_TABLE
 from z2rep.singular_solver import find_singular, sectors_for_level
-from z2rep.submodule_quotient import (ConsistencyError, Submodule,
-                                      _quotient_has_no_singular, build_submodule,
-                                      classify_module, detect_singular_orders,
-                                      singular_pair)
+from z2rep.submodule_quotient import (ConsistencyError, _quotient_has_no_singular,
+                                      build_submodule, classify_module,
+                                      detect_singular_orders, singular_pair)
 from z2rep.verma import (VermaModule, Vector, _level_kets, _sector_kets, act,
                          enumerate_level)
 
@@ -98,19 +97,19 @@ def test_builder_matches_fraction_bfs(module, cap):
     orders = detect_singular_orders(module)
     old = bfs_span_dims(module, top, orders)
     w = build_submodule(module, top)
-    assert w.pieces.keys() == old.keys()
+    assert w.keys() == old.keys()
     for n, (rr, pivots, kets) in old.items():
         # a reduced row echelon form is unique, so each of its rows lies in
         # the sector of its pivot and is that sector's RREF cut to its kets
-        assert len(rr) == w.dim(n), f"level {n}"
-        for sector, piece in sector_pieces(module, n, w.pieces[n]).items():
+        assert len(rr) == len(w[n]), f"level {n}"
+        for sector, piece in sector_pieces(module, n, w[n]).items():
             place = [kets.index(ket) for ket in _sector_kets(module.kind, n, sector)]
             rows, _ = dense_piece(piece, len(place))
             mine = [row for row, pc in zip(rr, pivots) if pc in place]
             assert all(not x for row in mine for j, x in enumerate(row) if j not in place)
             assert [[row[j] for j in place] for row in mine] == rref(rows)[0], \
                 f"level {n} sector {sector}"
-    assert all(_quotient_has_no_singular(w, n) == fraction_quotient_check(module, old, n)
+    assert all(_quotient_has_no_singular(module, w, n) == fraction_quotient_check(module, old, n)
                for n in range(1, top + 1))
     # a verdict is finite exactly when the old check passes over the old ranges
     quots = [row["quotient_dim"] for row in verdict.per_level]
@@ -136,10 +135,11 @@ def test_quotient_check_fails_when_a_level_of_w_is_missing(module):
     top = max(row["level"] for row in classify_module(module).per_level)
     w = build_submodule(module, top)
     old = bfs_span_dims(module, top, detect_singular_orders(module))
-    for n in w.pieces:
-        cut = Submodule(module, {k: v for k, v in w.pieces.items() if k != n})
+    for n in w:
+        cut = {k: v for k, v in w.items() if k != n}
         old_cut = {k: v for k, v in old.items() if k != n}
-        assert _quotient_has_no_singular(cut, n) == fraction_quotient_check(module, old_cut, n), \
+        assert _quotient_has_no_singular(module, cut, n) == \
+            fraction_quotient_check(module, old_cut, n), \
             f"level {n}"
 
 
@@ -165,15 +165,15 @@ def test_raising_words_reduce_to_ap_atp_ltp_order():
 
 
 def test_builder_refuses_ap_images_on_one_leading_column(monkeypatch, capsys):
-    real = submodule_quotient._action_table
+    real = submodule_quotient._raised
 
-    def collapsed(kind, gen, n):
-        # every ket sent where the first one goes: the ap images of W's rows
-        # are multiples of one vector, so two of them lead on one column
-        images = real(kind, gen, n)
-        return (images[0],) * len(images) if gen == "ap" else images
+    def collapsed(module, gen, rows, n):
+        # every row of W sent where the first one goes, each image its own
+        # dict: two of them lead on one column
+        images = real(module, gen, rows, n)
+        return [dict(images[0]) for _ in images] if gen == "ap" else images
 
-    monkeypatch.setattr(submodule_quotient, "_action_table", collapsed)
+    monkeypatch.setattr(submodule_quotient, "_raised", collapsed)
     with pytest.raises(ConsistencyError, match="distinct columns"):
         build_submodule(mr(-8), 18)
     assert main(["classify", "--kind", "mr", "--r=-8"]) == 1
@@ -196,7 +196,7 @@ def test_builder_refuses_a_zero_ap_image(monkeypatch, capsys):
 
 
 def test_shared_rows_are_never_mutated(monkeypatch):
-    # a row dict of W is shared by `pieces`, by the pivot table of
+    # a row dict of W is shared by W's piece, by the pivot table of
     # `sparse_echelon` and by the ap images of the level above: none may be
     # updated in place, by the builder or by the quotient check; nor may the
     # column map of a level, which every module of its kind shares
@@ -205,7 +205,7 @@ def test_shared_rows_are_never_mutated(monkeypatch):
 
     def recorded(module, max_level):
         w = real(module, max_level)
-        built.append((w, copy.deepcopy(w.pieces)))
+        built.append((module, w, copy.deepcopy(w)))
         return w
 
     maps = {}
@@ -217,13 +217,13 @@ def test_shared_rows_are_never_mutated(monkeypatch):
         return columns
 
     monkeypatch.setattr(submodule_quotient, "build_submodule", recorded)
-    for module in (submodule_quotient, singular_solver):
+    for module in (verma, singular_solver):
         monkeypatch.setattr(module, "_level_columns", recorded_columns)
     for module in (mr(-8), mrl(-5, 9)):
         assert classify_module(module).dimension is not None  # the check ran
     assert len(built) == 2
-    for w, pieces in built:
-        assert w.pieces == pieces, w.module
+    for module, w, pieces in built:
+        assert w == pieces, module
     sweep = mrl(Fraction(1, 3), Fraction(5, 7))
     for n in range(1, 13):
         for sector in sectors_for_level(n):
